@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
 // per artifact, DESIGN.md §5) plus the design-choice ablations of
 // DESIGN.md §6. Each iteration performs a complete, reduced-scale run of
-// the corresponding experiment; the CLI tools (cmd/rhchar, cmd/rhmitigate,
-// cmd/rhreport) run the same code at full scale.
+// the corresponding experiment; `rhx run` and `rhx report` run the same
+// code at full scale.
 package rowhammer_test
 
 import (

@@ -8,8 +8,10 @@
 //
 // Usage:
 //
-//	rhx list                                  # registry + default params
+//	rhx list -v                               # registry + settable params keys
 //	rhx run -name attack                      # defaults, print report
+//	rhx run -name fig9 -set scale=tiny        # override one params key
+//	rhx run -name fig10 -set 'hc=[2000,256]' -set 'mechanisms=["PARA","Ideal"]'
 //	rhx run -spec spec.json -out full.json    # spec file → result JSON
 //	rhx run -spec spec.json -store cache/     # cached: instant on re-run
 //	rhx run -spec spec.json -shard 0/2 -out part0.json
@@ -19,8 +21,17 @@
 //	rhx fmt merged.json                       # render a stored result
 //	rhx spec -name pareto                     # emit a template spec
 //	rhx spec -name pareto -hash               # print its content address
+//	rhx spec -name attack -set rows=2048      # a spec with overrides applied
+//	rhx report -quick                         # consolidated report, seconds
+//	rhx trace -list                           # workload trace catalog
 //	rhx serve -addr :8080 -store cache/       # HTTP experiment service
 //	rhx lint                                  # run the rhlint analyzers
+//
+// -set key=value (repeatable, on run and spec) writes one params key; the
+// keys of each experiment are listed by `rhx list -v`. A value that
+// parses as JSON is used as is, anything else as a string. The result is
+// the same spec, with the same content address, as a spec file holding
+// those params.
 //
 // The -store flag (shared by run and serve) points at a content-
 // addressed result store: results are keyed by the SHA-256 of their
@@ -42,6 +53,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -69,6 +81,10 @@ func main() {
 		err = cmdSpec(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
+	case "report":
+		err = cmdReport(os.Args[2:])
+	case "trace":
+		err = cmdTrace(os.Args[2:])
 	case "lint":
 		err = cmdLint(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -87,17 +103,33 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  rhx list                               list registered experiments
-  rhx run   [-spec f|-name n] [flags]    run (a shard of) an experiment
+  rhx list  [-v]                         list registered experiments (-v: settable params keys)
+  rhx run   [-spec f|-name n] [-set k=v]... [flags]
+                                         run (a shard of) an experiment
   rhx merge [-out f] [-format] part...   merge shard results
   rhx fmt   result.json                  render a stored result
-  rhx spec  -name n [-seed s] [-hash]    emit a template spec (or its hash)
+  rhx spec  [-spec f|-name n] [-seed s] [-set k=v]... [-hash]
+                                         emit a spec (or its hash)
+  rhx report [-quick|-full] [-parallel n]
+                                         run every paper artifact as one report
+  rhx trace -list | -profile p [-n n] | -stat
+                                         list, generate or summarize workload traces
   rhx serve -addr a -store d [flags]     run the HTTP experiment service
   rhx lint  [-print] [packages]          run the rhlint static analyzers (default ./...)`)
 }
 
-// loadSpec resolves -spec/-name/-seed/-shard into a validated spec.
-func loadSpec(specPath, name string, seed uint64, shardStr string) (core.ExperimentSpec, error) {
+// setFlags collects the repeatable -set key=value params overrides.
+type setFlags []string
+
+func (s *setFlags) String() string { return strings.Join(*s, " ") }
+
+func (s *setFlags) Set(v string) error {
+	*s = append(*s, v)
+	return nil
+}
+
+// loadSpec resolves -spec/-name/-seed/-set/-shard into a validated spec.
+func loadSpec(specPath, name string, seed uint64, sets []string, shardStr string) (core.ExperimentSpec, error) {
 	var spec core.ExperimentSpec
 	switch {
 	case specPath != "" && name != "":
@@ -123,6 +155,10 @@ func loadSpec(specPath, name string, seed uint64, shardStr string) (core.Experim
 	if seed != 0 {
 		spec.Seed = seed
 	}
+	spec, err := core.ApplySets(spec, sets)
+	if err != nil {
+		return spec, err
+	}
 	if shardStr != "" {
 		shard, err := core.ParseShard(shardStr)
 		if err != nil {
@@ -144,14 +180,14 @@ func writeOut(path string, data []byte) error {
 
 func cmdList(args []string) error {
 	fs := flag.NewFlagSet("rhx list", flag.ExitOnError)
-	verbose := fs.Bool("v", false, "include each experiment's default params JSON")
+	verbose := fs.Bool("v", false, "include each experiment's settable params keys (for -set)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	for _, e := range core.Experiments() {
 		fmt.Printf("%-8s %s\n", e.Name, e.Description)
 		if *verbose {
-			fmt.Printf("         params: %s\n", e.DefaultParams)
+			fmt.Printf("         params: %s\n", strings.Join(e.ParamKeys, ", "))
 		}
 	}
 	return nil
@@ -172,11 +208,13 @@ func cmdRun(args []string) error {
 		noCache  = fs.Bool("no-cache", false, "with -store: skip cache reads, recompute, and refresh the stored entry")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run here (pprof format)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at end of run here (pprof format)")
+		sets     setFlags
 	)
+	fs.Var(&sets, "set", "override one params key, as key=value (repeatable; keys: rhx list -v)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := loadSpec(*specPath, *name, *seed, *shardStr)
+	spec, err := loadSpec(*specPath, *name, *seed, sets, *shardStr)
 	if err != nil {
 		return err
 	}
@@ -353,9 +391,11 @@ func cmdSpec(args []string) error {
 	var (
 		name     = fs.String("name", "", "experiment name")
 		seed     = fs.Uint64("seed", 1, "seed")
-		specPath = fs.String("spec", "", "hash an existing spec file instead of a template")
+		specPath = fs.String("spec", "", "start from an existing spec file instead of a template")
 		hash     = fs.Bool("hash", false, "print the spec's content address (store key) instead of the spec")
+		sets     setFlags
 	)
+	fs.Var(&sets, "set", "override one params key, as key=value (repeatable; keys: rhx list -v)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -364,7 +404,7 @@ func cmdSpec(args []string) error {
 			return 0 // keep the file's seed
 		}
 		return *seed
-	}(), "")
+	}(), sets, "")
 	if err != nil {
 		return err
 	}
@@ -449,6 +489,22 @@ func signalContext() context.Context {
 	return ctx
 }
 
+// The service's HTTP timeouts. They bound how long a client may take to
+// send its request headers and how long an idle keep-alive connection
+// stays open. There is deliberately no read or write timeout: ?wait=1
+// submissions and SSE event streams hold a response open for as long as
+// a grid runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// service's timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("rhx serve", flag.ExitOnError)
 	var (
@@ -495,7 +551,7 @@ func cmdServe(args []string) error {
 	// on port 0 can discover the port.
 	fmt.Printf("rhx serve: listening on %s (store %s, %d workers)\n", ln.Addr(), *storeDir, *workers)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

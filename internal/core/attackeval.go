@@ -168,12 +168,21 @@ type AttackParams struct {
 
 // Validate rejects attack pacing outside its [0,1) domain at spec
 // decode, so a mistyped duty_cycle/phase fails validation instead of
-// silently evaluating an unpaced stream.
+// silently evaluating an unpaced stream. Non-positive HCfirst points and
+// negative counts fail there too.
 func (p *AttackParams) Validate() error {
 	if p.Attack != nil {
-		return p.Attack.Validate()
+		if err := p.Attack.Validate(); err != nil {
+			return err
+		}
 	}
-	return nil
+	if err := checkHCSweep("attack", p.HCSweep); err != nil {
+		return err
+	}
+	return checkCounts("attack",
+		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
+		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
+		countParam{"attack_records", int64(p.AttackRecords)})
 }
 
 // options expands the params into the imperative AttackOptions form.

@@ -211,6 +211,18 @@ type Fig10Params struct {
 	Mechanisms   []MechanismID `json:"mechanisms,omitempty"`
 }
 
+// Validate rejects non-positive HCfirst points and negative counts at
+// spec decode.
+func (p *Fig10Params) Validate() error {
+	if err := checkHCSweep("fig10", p.HCSweep); err != nil {
+		return err
+	}
+	return checkCounts("fig10",
+		countParam{"mixes", int64(p.Mixes)}, countParam{"cores", int64(p.Cores)},
+		countParam{"trace_records", int64(p.TraceRecords)},
+		countParam{"warmup_insts", p.WarmupInsts}, countParam{"measure_insts", p.MeasureInsts})
+}
+
 // options expands the params into the imperative MitigationOptions form.
 func (p Fig10Params) options(seed uint64) MitigationOptions {
 	return MitigationOptions{

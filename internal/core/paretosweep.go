@@ -453,13 +453,23 @@ type ParetoParams struct {
 }
 
 // Validate rejects axis values the grid cannot distinguish from the
-// defaults (labels would collide into duplicate task keys), and attack
-// pacing outside its [0,1) domain.
+// defaults (labels would collide into duplicate task keys), attack
+// pacing outside its [0,1) domain, non-positive HCfirst points and
+// negative counts.
 func (p *ParetoParams) Validate() error {
 	if p.Attack != nil {
 		if err := p.Attack.Validate(); err != nil {
 			return err
 		}
+	}
+	if err := checkHCSweep("pareto", p.HCSweep); err != nil {
+		return err
+	}
+	if err := checkCounts("pareto",
+		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
+		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
+		countParam{"attack_records", int64(p.AttackRecords)}); err != nil {
+		return err
 	}
 	for _, s := range p.BLISSStreaks {
 		if s <= 0 {

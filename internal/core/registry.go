@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 
 	"repro/internal/engine"
 )
@@ -26,7 +28,7 @@ type experiment struct {
 	description string
 	// params returns a fresh pointer to the experiment's parameter
 	// struct with its zero (all-defaults) value, used for strict
-	// decoding and for documenting defaults in `rhx list`.
+	// decoding and for listing the settable keys in `rhx list -v`.
 	params   func() any
 	run      func(rc *runCtx) (*Result, error)
 	finalize func(res *Result) (Artifact, error)
@@ -61,9 +63,29 @@ func lookup(name string) (*experiment, error) {
 type ExperimentInfo struct {
 	Name        string
 	Description string
-	// DefaultParams is the JSON shape of the experiment's parameter
-	// struct with every field at its default.
-	DefaultParams json.RawMessage
+	// ParamKeys are the params keys a spec (or `rhx run -set key=value`)
+	// may set: the JSON names of the parameter struct's fields, in field
+	// order.
+	ParamKeys []string
+}
+
+// paramKeys returns the JSON names of the fields of the struct params
+// points to, in field order.
+func paramKeys(params any) []string {
+	t := reflect.TypeOf(params).Elem()
+	keys := make([]string, 0, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || name == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		keys = append(keys, name)
+	}
+	return keys
 }
 
 // Experiments lists the registry in canonical order.
@@ -76,8 +98,7 @@ func Experiments() []ExperimentInfo {
 			return
 		}
 		seen[name] = true
-		raw, _ := json.Marshal(e.params())
-		out = append(out, ExperimentInfo{Name: e.name, Description: e.description, DefaultParams: raw})
+		out = append(out, ExperimentInfo{Name: e.name, Description: e.description, ParamKeys: paramKeys(e.params())})
 	}
 	for _, name := range experimentOrder {
 		add(name)

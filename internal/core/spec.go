@@ -218,6 +218,65 @@ func NewSpec(name string, seed uint64, params any) (ExperimentSpec, error) {
 	return s.normalized(), nil
 }
 
+// ApplySets returns spec with each "key=value" override written into its
+// params, the way `rhx run -set` and `rhx spec -set` apply them. A value
+// that parses as JSON is used as is; anything else is taken as a JSON
+// string, so scale=tiny and hc=[2000,256] both work. An override
+// replaces the key's whole value (also for nested objects such as
+// attack). The merged params decode strictly and validate like a spec
+// file's, so a mistyped key fails with the same unknown-field error, and
+// re-encode in struct-field order, so the order of the overrides never
+// changes the content address. With no overrides the spec is returned
+// unchanged, byte for byte.
+func ApplySets(spec ExperimentSpec, sets []string) (ExperimentSpec, error) {
+	if len(sets) == 0 {
+		return spec, nil
+	}
+	exp, err := lookup(spec.Name)
+	if err != nil {
+		return spec, err
+	}
+	var merged map[string]json.RawMessage
+	if len(spec.Params) > 0 {
+		if err := json.Unmarshal(spec.Params, &merged); err != nil {
+			return spec, fmt.Errorf("core: bad experiment params: %w", err)
+		}
+	}
+	if merged == nil { // no params, or "params": null
+		merged = make(map[string]json.RawMessage, len(sets))
+	}
+	given := make(map[string]bool, len(sets))
+	for _, kv := range sets {
+		key, val, ok := strings.Cut(kv, "=")
+		if !ok || key == "" {
+			return spec, fmt.Errorf("core: params override %q not of the form key=value", kv)
+		}
+		if given[key] {
+			return spec, fmt.Errorf("core: params key %s set twice", key)
+		}
+		given[key] = true
+		raw := json.RawMessage(val)
+		if !json.Valid(raw) {
+			raw, _ = json.Marshal(val) // a string always marshals
+		}
+		merged[key] = raw
+	}
+	raw, err := json.Marshal(merged)
+	if err != nil {
+		return spec, err
+	}
+	params := exp.params()
+	if err := decodeParams(raw, params); err != nil {
+		return spec, err
+	}
+	out, err := NewSpec(spec.Name, spec.Seed, params)
+	if err != nil {
+		return spec, err
+	}
+	out.Shard = spec.Shard
+	return out, nil
+}
+
 // paramsValidator lets a parameter struct add semantic checks beyond
 // strict field decoding (e.g. rejecting non-positive axis values), so
 // bad specs fail at validation time rather than mid-run.
@@ -236,6 +295,34 @@ func decodeParams(raw json.RawMessage, into any) error {
 	}
 	if v, ok := into.(paramsValidator); ok {
 		return v.Validate()
+	}
+	return nil
+}
+
+// checkHCSweep rejects HCfirst axis values that are not positive: a
+// chip that flips at zero hammers has no meaning.
+func checkHCSweep(exp string, hc []int) error {
+	for _, v := range hc {
+		if v <= 0 {
+			return fmt.Errorf("core: %s hc value %d not positive", exp, v)
+		}
+	}
+	return nil
+}
+
+// countParam is one count-valued parameter, by its JSON key.
+type countParam struct {
+	key string
+	v   int64
+}
+
+// checkCounts rejects negative count parameters; zero keeps its meaning
+// of "use the default".
+func checkCounts(exp string, counts ...countParam) error {
+	for _, c := range counts {
+		if c.v < 0 {
+			return fmt.Errorf("core: %s %s %d must not be negative (0 keeps the default)", exp, c.key, c.v)
+		}
 	}
 	return nil
 }

@@ -108,9 +108,29 @@ func TestParetoParamsRejectNonPositiveBLISSAxes(t *testing.T) {
 // TestAttackPacingSpecValidation pins the bugfix at the spec layer:
 // out-of-range duty_cycle/phase inside the attack/pareto families' attack
 // block must fail strict decode with a clear error, not silently run an
-// unpaced stream.
+// unpaced stream. The same holds for non-positive HCfirst points and
+// negative counts in the fig10/attack/pareto params.
 func TestAttackPacingSpecValidation(t *testing.T) {
 	bad := []struct{ spec, want string }{
+		{`{"name":"fig10","params":{"hc":[2000,0]}}`, "hc"},
+		{`{"name":"fig10","params":{"hc":[-256]}}`, "hc"},
+		{`{"name":"fig10","params":{"mixes":-1}}`, "mixes"},
+		{`{"name":"fig10","params":{"cores":-2}}`, "cores"},
+		{`{"name":"fig10","params":{"trace_records":-800}}`, "trace_records"},
+		{`{"name":"fig10","params":{"warmup_insts":-1}}`, "warmup_insts"},
+		{`{"name":"fig10","params":{"measure_insts":-5000}}`, "measure_insts"},
+		{`{"name":"attack","params":{"hc":[0]}}`, "hc"},
+		{`{"name":"attack","params":{"benign_cores":-1}}`, "benign_cores"},
+		{`{"name":"attack","params":{"trace_records":-1}}`, "trace_records"},
+		{`{"name":"attack","params":{"mem_cycles":-150000}}`, "mem_cycles"},
+		{`{"name":"attack","params":{"rows":-1024}}`, "rows"},
+		{`{"name":"attack","params":{"attack_records":-1}}`, "attack_records"},
+		{`{"name":"pareto","params":{"hc":[512,0]}}`, "hc"},
+		{`{"name":"pareto","params":{"benign_cores":-2}}`, "benign_cores"},
+		{`{"name":"pareto","params":{"trace_records":-1}}`, "trace_records"},
+		{`{"name":"pareto","params":{"mem_cycles":-1}}`, "mem_cycles"},
+		{`{"name":"pareto","params":{"rows":-4096}}`, "rows"},
+		{`{"name":"pareto","params":{"attack_records":-1}}`, "attack_records"},
 		{`{"name":"attack","params":{"attack":{"duty_cycle":1.5}}}`, "duty_cycle"},
 		{`{"name":"attack","params":{"attack":{"duty_cycle":1}}}`, "duty_cycle"},
 		{`{"name":"attack","params":{"attack":{"duty_cycle":-0.25}}}`, "duty_cycle"},
@@ -128,6 +148,8 @@ func TestAttackPacingSpecValidation(t *testing.T) {
 	for _, good := range []string{
 		`{"name":"attack","params":{"attack":{"duty_cycle":0.5,"phase":0.25}}}`,
 		`{"name":"pareto","params":{"attack":{"duty_cycle":0.99}}}`,
+		`{"name":"fig10","params":{"mixes":0,"hc":[2000,256]}}`,
+		`{"name":"attack","params":{"rows":0,"benign_cores":0,"hc":[512]}}`,
 	} {
 		if _, err := DecodeSpec([]byte(good)); err != nil {
 			t.Errorf("%s: rejected: %v", good, err)
@@ -215,4 +237,155 @@ func TestMergeRejectsMismatchedSpecs(t *testing.T) {
 	if merged, err := a.Merge(a); err != nil || !merged.Complete() {
 		t.Errorf("self-merge (idempotent union) failed: %v", err)
 	}
+}
+
+// The -set tests below pin ApplySets, the override path behind
+// `rhx run -set` and `rhx spec -set`.
+
+func TestApplySetsWithoutSetsKeepsSpecBytes(t *testing.T) {
+	// Params out of struct-field order: re-emitting them would reorder
+	// the keys and change the hash, so no -set must not re-emit.
+	spec, err := DecodeSpec([]byte(`{"name":"fig5","seed":7,"params":{"iterations":2,"chips":2,"scale":"tiny"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []ExperimentSpec{spec, mustSpec(t, "attack", 1, nil)} {
+		want, _ := s.Encode()
+		got, err := ApplySets(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc, _ := got.Encode(); !bytes.Equal(enc, want) {
+			t.Errorf("ApplySets(nil) changed the spec:\n%s\nwant\n%s", enc, want)
+		}
+	}
+}
+
+func TestApplySetsMatchesSpecFile(t *testing.T) {
+	// The CI attack smoke's spec file, built from flags instead.
+	file, err := DecodeSpec([]byte(`{"name":"attack","seed":7,"params":{
+		"patterns":["double-sided","scattered"],"mechanisms":["None","Ideal"],"hc":[512],
+		"benign_cores":2,"trace_records":800,"mem_cycles":150000,"rows":1024}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []string{
+		`patterns=["double-sided","scattered"]`, `mechanisms=["None","Ideal"]`, "hc=[512]",
+		"benign_cores=2", "trace_records=800", "mem_cycles=150000", "rows=1024",
+	}
+	want := hashOf(t, file)
+	// Every rotation of the flag order gives the same content address.
+	for i := range sets {
+		rotated := append(append([]string{}, sets[i:]...), sets[:i]...)
+		got, err := ApplySets(mustSpec(t, "attack", 7, nil), rotated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := hashOf(t, got); h != want {
+			t.Errorf("sets %v: hash %s, want the spec file's %s", rotated, h, want)
+		}
+	}
+	// A spec file with "params": null takes overrides like one without.
+	null, err := DecodeSpec([]byte(`{"name":"attack","seed":7,"params":null}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ApplySets(null, sets); err != nil || hashOf(t, got) != want {
+		t.Errorf(`"params": null with sets: %v, want the spec file's hash`, err)
+	}
+	// A non-JSON value is a string; a later -set replaces a file's value.
+	got, err := ApplySets(mustSpec(t, "fig5", 1, CharParams{Scale: "small", Chips: 2}), []string{"scale=tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, want := hashOf(t, got), hashOf(t, mustSpec(t, "fig5", 1, CharParams{Scale: "tiny", Chips: 2})); h != want {
+		t.Errorf("scale=tiny over a file: hash %s, want %s", h, want)
+	}
+}
+
+func TestApplySetsRejectsLikeSpecFile(t *testing.T) {
+	// A mistyped key fails exactly as the same typo in a spec file.
+	_, fileErr := DecodeSpec([]byte(`{"name":"fig5","params":{"scael":"tiny"}}`))
+	_, setErr := ApplySets(mustSpec(t, "fig5", 1, nil), []string{"scael=tiny"})
+	if fileErr == nil || setErr == nil || fileErr.Error() != setErr.Error() {
+		t.Errorf("typo: -set error %v, spec file error %v; want the same error", setErr, fileErr)
+	}
+	for _, bad := range []struct {
+		name string
+		set  string
+		want string
+	}{
+		{"fig5", "chips=many", "cannot unmarshal"}, // string into int
+		{"fig10", "hc=2000", "cannot unmarshal"},   // number into []int
+		{"attack", "ecc=1", "cannot unmarshal"},    // number into bool
+		{"fig10", "hc=[0]", "not positive"},        // Validate runs too
+		{"attack", "rows=-1", "must not be negative"},
+		{"fig5", "chips", "key=value"},
+		{"fig5", "=2", "key=value"},
+	} {
+		if _, err := ApplySets(mustSpec(t, bad.name, 1, nil), []string{bad.set}); err == nil ||
+			!strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s -set %s: error %v, want mention of %q", bad.name, bad.set, err, bad.want)
+		}
+	}
+	if _, err := ApplySets(mustSpec(t, "fig5", 1, nil), []string{"chips=1", "chips=2"}); err == nil {
+		t.Error("a key set twice was accepted (the flag order would pick the value)")
+	}
+}
+
+// TestParamKeysSettable pins the listing behind `rhx list -v` and
+// GET /v1/registry: every experiment lists its params keys, and each
+// listed key is one -set accepts and keeps.
+func TestParamKeysSettable(t *testing.T) {
+	valid := map[string]string{
+		"scale": "tiny", "custom_scale": `{"Banks":1,"Rows":256,"RowBits":1024,"ChipsPerModule":1}`,
+		"modules": "ddr4", "chips": "2", "stride": "2", "iterations": "2",
+		"mixes": "2", "cores": "2", "trace_records": "800", "warmup_insts": "1000", "measure_insts": "1000",
+		"hc": "[512]", "trr-dodge.hc": "512", "mechanisms": `["PARA"]`, "patterns": `["decoy"]`,
+		"scheduler": "BLISS", "schedulers": `["BLISS"]`, "benign_cores": "2", "mem_cycles": "150000",
+		"rows": "1024", "attack_records": "100", "ecc": "true", "attack": `{"duty_cycle":0.5}`,
+		"bliss_streaks": "[2]", "bliss_clears": "[5000]", "duty_cycles": "[0,0.25]", "phases": "[0.5]",
+		"sample_rates": "[0.25]", "table_sizes": "[2]",
+	}
+	for _, e := range Experiments() {
+		if len(e.ParamKeys) == 0 {
+			t.Errorf("%s lists no params keys", e.Name)
+		}
+		for _, key := range e.ParamKeys {
+			v, ok := valid[e.Name+"."+key]
+			if !ok {
+				v, ok = valid[key]
+			}
+			if !ok {
+				t.Errorf("%s: no valid test value for listed key %q", e.Name, key)
+				continue
+			}
+			spec, err := ApplySets(mustSpec(t, e.Name, 1, nil), []string{key + "=" + v})
+			if err != nil {
+				t.Errorf("%s -set %s=%s: %v", e.Name, key, v, err)
+				continue
+			}
+			if !bytes.Contains(spec.Params, []byte(`"`+key+`":`)) {
+				t.Errorf("%s -set %s=%s: key missing from params %s", e.Name, key, v, spec.Params)
+			}
+		}
+	}
+}
+
+func mustSpec(t *testing.T, name string, seed uint64, params any) ExperimentSpec {
+	t.Helper()
+	s, err := NewSpec(name, seed, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func hashOf(t *testing.T, s ExperimentSpec) string {
+	t.Helper()
+	h, err := s.SpecHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

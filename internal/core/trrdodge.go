@@ -85,7 +85,7 @@ func DefaultTRRDodgeParams() TRRDodgeParams {
 
 // Validate rejects out-of-domain axis values at spec decode: duty cycles
 // and phases outside [0,1), sample rates outside (0,1], non-positive
-// table sizes, and a negative HCfirst.
+// table sizes, a negative HCfirst and negative counts.
 func (p *TRRDodgeParams) Validate() error {
 	for _, d := range p.DutyCycles {
 		if d < 0 || d >= 1 {
@@ -110,7 +110,10 @@ func (p *TRRDodgeParams) Validate() error {
 	if p.HCFirst < 0 {
 		return fmt.Errorf("core: trr-dodge hc %d must not be negative", p.HCFirst)
 	}
-	return nil
+	return checkCounts("trr-dodge",
+		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
+		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
+		countParam{"attack_records", int64(p.AttackRecords)})
 }
 
 func (p TRRDodgeParams) normalized() TRRDodgeParams {

@@ -75,6 +75,11 @@ func TestTRRDodgeValidation(t *testing.T) {
 		{`{"name":"trr-dodge","params":{"sample_rates":[1.1]}}`, "sample_rates"},
 		{`{"name":"trr-dodge","params":{"table_sizes":[0]}}`, "table_sizes"},
 		{`{"name":"trr-dodge","params":{"hc":-1}}`, "hc"},
+		{`{"name":"trr-dodge","params":{"benign_cores":-1}}`, "benign_cores"},
+		{`{"name":"trr-dodge","params":{"trace_records":-2000}}`, "trace_records"},
+		{`{"name":"trr-dodge","params":{"mem_cycles":-1}}`, "mem_cycles"},
+		{`{"name":"trr-dodge","params":{"rows":-1024}}`, "rows"},
+		{`{"name":"trr-dodge","params":{"attack_records":-1}}`, "attack_records"},
 		{`{"name":"trr-dodge","params":{"tabel_sizes":[4]}}`, "params"},
 	}
 	for _, b := range bad {

@@ -433,9 +433,10 @@ type registryDoc struct {
 }
 
 type registryExperiment struct {
-	Name          string          `json:"name"`
-	Description   string          `json:"description"`
-	DefaultParams json.RawMessage `json:"default_params"`
+	Name        string `json:"name"`
+	Description string `json:"description"`
+	// Params are the settable params keys, in parameter-struct order.
+	Params []string `json:"params"`
 	// DefaultSpecHash is the content address of {name, seed 1, default
 	// params}: what a bare `{"name": ...}` submission resolves to.
 	DefaultSpecHash string `json:"default_spec_hash"`
@@ -444,7 +445,7 @@ type registryExperiment struct {
 func (s *Server) handleRegistry(w http.ResponseWriter, req *http.Request) {
 	doc := registryDoc{}
 	for _, e := range core.Experiments() {
-		re := registryExperiment{Name: e.Name, Description: e.Description, DefaultParams: e.DefaultParams}
+		re := registryExperiment{Name: e.Name, Description: e.Description, Params: e.ParamKeys}
 		if spec, err := core.NewSpec(e.Name, 1, nil); err == nil {
 			re.DefaultSpecHash, _ = spec.SpecHash()
 		}

@@ -177,6 +177,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"not json", `{{{`, http.StatusBadRequest},
 		{"typoed param", `{"name": "fig5", "params": {"scal": "tiny"}}`, http.StatusBadRequest},
 		{"bad shard", `{"name": "fig5", "shard": {"index": 9, "count": 2}}`, http.StatusBadRequest},
+		{"zero hcfirst", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
+		{"negative rows", `{"name": "attack", "params": {"rows": -1024}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,8 +226,9 @@ func TestRegistryEndpoint(t *testing.T) {
 	}
 	var doc struct {
 		Experiments []struct {
-			Name            string `json:"name"`
-			DefaultSpecHash string `json:"default_spec_hash"`
+			Name            string   `json:"name"`
+			Params          []string `json:"params"`
+			DefaultSpecHash string   `json:"default_spec_hash"`
 		} `json:"experiments"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
@@ -239,6 +242,9 @@ func TestRegistryEndpoint(t *testing.T) {
 		names[e.Name] = true
 		if len(e.DefaultSpecHash) != 64 {
 			t.Errorf("%s: bad default_spec_hash %q", e.Name, e.DefaultSpecHash)
+		}
+		if len(e.Params) == 0 {
+			t.Errorf("%s: registry lists no settable params keys", e.Name)
 		}
 	}
 	for _, want := range []string{"fig5", "attack", "trr-dodge"} {

@@ -432,8 +432,8 @@ func DefaultTRRDodgeParams() TRRDodgeParams { return core.DefaultTRRDodgeParams(
 // sampler's effort, and the per-REF timeline evidence of the dodge. Duty
 // cycle 0 is the full-rate baseline; the headline finding is a paced
 // attack escaping a sampler configuration that blocks the same attack at
-// full rate ("trr-dodge" in the experiment registry, cmd/rhdodge on the
-// command line).
+// full rate ("trr-dodge" in the experiment registry, `rhx run -name
+// trr-dodge` on the command line).
 func RunTRRDodge(p TRRDodgeParams, seed uint64, parallelism int) (*TRRDodge, error) {
 	return core.RunTRRDodge(p, seed, parallelism)
 }
