@@ -11,6 +11,7 @@ import (
 
 	rowhammer "repro"
 	"repro/internal/attack"
+	"repro/internal/cache"
 	"repro/internal/chips"
 	"repro/internal/core"
 	"repro/internal/faultmodel"
@@ -474,6 +475,76 @@ func BenchmarkControllerSaturated(b *testing.B) {
 			ctrl.EnqueueRead(0, mapper.LineAddress(addr), func() {})
 			addr += 4096 // row-conflict heavy
 			ctrl.Tick()
+		}
+	}
+}
+
+// llcBenchMem is a memory backend that completes every read at once and
+// counts writebacks, so the LLC benchmarks time the cache alone.
+type llcBenchMem struct{ writebacks int }
+
+func (m *llcBenchMem) EnqueueRead(_ int, _ int64, onDone func()) bool {
+	onDone()
+	return true
+}
+
+func (m *llcBenchMem) EnqueueWrite(int, int64) { m.writebacks++ }
+
+// BenchmarkLLCNew builds the Table 6 LLC, once per simulated core mix in
+// Figure 10 and every other sim-driven study.
+func BenchmarkLLCNew(b *testing.B) {
+	mem := &llcBenchMem{}
+	for i := 0; i < b.N; i++ {
+		if _, err := cache.New(cache.Table6Config(), mem, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLLCAccess runs a fixed 64K-access stream from 4 cores through
+// a fresh Table 6 LLC, one CPU tick per access: 70% go to a 256 KiB hot
+// region that stays resident (hits), 30% to 32K lines folded onto 512
+// sets (misses that evict), and a third of all accesses are writes, so
+// evictions write back.
+func BenchmarkLLCAccess(b *testing.B) {
+	const n = 1 << 16
+	type op struct {
+		addr  int64
+		write bool
+	}
+	ops := make([]op, n)
+	x := uint64(1)
+	for i := range ops {
+		x = x*6364136223846793005 + 1442695040888963407
+		r := x >> 33
+		if r%10 < 7 {
+			ops[i].addr = int64(r>>4%4096) * 64
+		} else {
+			set, tag := int64(r>>4%512), int64(r>>13%64)
+			ops[i].addr = (tag<<15 | set) * 64
+		}
+		ops[i].write = r%3 == 0
+	}
+	done := func() {}
+	mem := &llcBenchMem{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		llc, err := cache.New(cache.Table6Config(), mem, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j, o := range ops {
+			if o.write {
+				llc.Write(j%4, o.addr)
+			} else {
+				llc.Read(j%4, o.addr, done)
+			}
+			llc.Tick()
+		}
+		if llc.Stats.Hits == 0 || llc.Stats.Writebacks == 0 {
+			b.Fatalf("stream lost its mix: %+v", llc.Stats)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package cache models the shared last-level cache of the simulated
 // system (Table 6: 16 MiB, 8-way, 64 B lines): LRU replacement,
 // write-back/write-allocate, and MSHR-based miss handling in front of the
-// memory controller.
+// memory controller. Set state is allocated per touched set, on the set's
+// first fill, so a short run pays for the sets it uses, not for 16 MiB.
 package cache
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Backend is the memory side of the cache (the memory controller).
@@ -44,11 +46,22 @@ func Table6Config() Config {
 	}
 }
 
-type line struct {
-	tag   int64
-	valid bool
-	dirty bool
+// line packs one way as (tag+1)<<1 | dirty, where tag is the line
+// address; the zero line is an invalid way. Tags are line numbers of
+// nonnegative physical addresses, far below the 2^62 the packing holds.
+type line uint64
+
+func makeLine(la int64, dirty bool) line {
+	l := line(la+1) << 1
+	if dirty {
+		l |= 1
+	}
+	return l
 }
+
+func (l line) dirty() bool { return l&1 != 0 }
+
+func (l line) tag() int64 { return int64(l>>1) - 1 }
 
 type mshr struct {
 	lineAddr int64
@@ -67,10 +80,13 @@ type Stats struct {
 // Cache is a set-associative LLC. It is driven in the CPU clock domain:
 // call Tick once per CPU cycle.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	lru     [][]int8 // per-set LRU stack: lru[s][0] = most recent way
-	nsets   int
+	cfg   Config
+	nsets int
+	// block maps a set to 1 + its block index; 0 marks a set no fill has
+	// reached, which behaves exactly like a set of invalid ways.
+	block   []int32
+	lines   []line // Assoc ways per block, blocks in first-fill order
+	lru     []int8 // per-block LRU stack: lru[b*Assoc] = most recent way
 	backend Backend
 
 	mshrs map[int64]*mshr
@@ -85,10 +101,16 @@ type Cache struct {
 	nrequest int
 }
 
-// New builds a cache over the backend for n requesters (cores).
+// New builds a cache over the backend for n requesters (cores). Only the
+// set index is sized by the configuration; a set's ways and LRU stack
+// are allocated on its first fill (addBlock), because a short simulation
+// touches a few percent of a 16 MiB LLC's sets.
 func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 || cfg.LineBytes <= 0 {
 		return nil, errors.New("cache: size, associativity and line size must be positive")
+	}
+	if cfg.Assoc > math.MaxInt8 {
+		return nil, fmt.Errorf("cache: associativity %d exceeds %d (LRU stacks hold int8 way numbers)", cfg.Assoc, math.MaxInt8)
 	}
 	nsets := int(cfg.SizeBytes / int64(cfg.LineBytes) / int64(cfg.Assoc))
 	if nsets == 0 {
@@ -97,38 +119,24 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d must be a power of two", nsets)
 	}
+	if nsets > math.MaxInt32 {
+		return nil, fmt.Errorf("cache: set count %d exceeds %d (block indices are int32)", nsets, math.MaxInt32)
+	}
 	if cfg.HitLatency < 1 {
 		cfg.HitLatency = 1
 	}
 	if cfg.MSHRs < 1 {
 		cfg.MSHRs = 1
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:     cfg,
 		nsets:   nsets,
+		block:   make([]int32, nsets),
 		backend: backend,
 		mshrs:   make(map[int64]*mshr),
 		ring:    make([][]func(), cfg.HitLatency+1),
 		PerCore: make([]Stats, cores),
-	}
-	// Carve all per-set slices out of two flat backing arrays: large
-	// caches (32K sets) would otherwise pay 2*nsets allocations here,
-	// which dominated the allocation profile of experiments that build
-	// one cache hierarchy per simulated core mix.
-	lineBuf := make([]line, nsets*cfg.Assoc)
-	lruBuf := make([]int8, nsets*cfg.Assoc)
-	c.sets = make([][]line, nsets)
-	c.lru = make([][]int8, nsets)
-	for i := range c.sets {
-		lo, hi := i*cfg.Assoc, (i+1)*cfg.Assoc
-		c.sets[i] = lineBuf[lo:hi:hi]
-		order := lruBuf[lo:hi:hi]
-		for w := range order {
-			order[w] = int8(w)
-		}
-		c.lru[i] = order
-	}
-	return c, nil
+	}, nil
 }
 
 // Tick advances the CPU clock and fires due hit callbacks.
@@ -216,9 +224,37 @@ func (c *Cache) lineAddr(addr int64) int64 { return addr / int64(c.cfg.LineBytes
 
 func (c *Cache) setOf(la int64) int { return int(la & int64(c.nsets-1)) }
 
-// touch moves way to the MRU position of set s.
-func (c *Cache) touch(s, way int) {
-	order := c.lru[s]
+// set returns set s's ways and LRU stack, both nil when no fill has
+// reached the set yet.
+func (c *Cache) set(s int) (ways []line, order []int8) {
+	b := int(c.block[s]) - 1
+	if b < 0 {
+		return nil, nil
+	}
+	lo, hi := b*c.cfg.Assoc, (b+1)*c.cfg.Assoc
+	return c.lines[lo:hi:hi], c.lru[lo:hi:hi]
+}
+
+// addBlock appends set s's block on its first fill: every way invalid,
+// LRU stack in way order. The slab doubles when full, which keeps its
+// total allocation within a small multiple of the touched sets' size
+// (append's ~1.25x growth copied the slab several times as often).
+func (c *Cache) addBlock(s int) {
+	a := c.cfg.Assoc
+	if len(c.lines)+a > cap(c.lines) {
+		grown := max(2*cap(c.lines), 16*a)
+		c.lines = append(make([]line, 0, grown), c.lines...)
+		c.lru = append(make([]int8, 0, grown), c.lru...)
+	}
+	c.block[s] = int32(len(c.lines)/a) + 1
+	c.lines = append(c.lines, make([]line, a)...)
+	for w := 0; w < a; w++ {
+		c.lru = append(c.lru, int8(w))
+	}
+}
+
+// touch moves way to the MRU position of an LRU stack.
+func touch(order []int8, way int) {
 	for i, w := range order {
 		if int(w) == way {
 			copy(order[1:i+1], order[:i])
@@ -228,15 +264,17 @@ func (c *Cache) touch(s, way int) {
 	}
 }
 
-// lookup returns the way holding la, or -1.
-func (c *Cache) lookup(la int64) (set, way int) {
-	s := c.setOf(la)
-	for w := range c.sets[s] {
-		if c.sets[s][w].valid && c.sets[s][w].tag == la {
-			return s, w
+// lookup returns the ways and LRU stack of la's set and the way holding
+// la, or -1.
+func (c *Cache) lookup(la int64) (ways []line, order []int8, way int) {
+	ways, order = c.set(c.setOf(la))
+	want := makeLine(la, false)
+	for w, l := range ways {
+		if l&^1 == want {
+			return ways, order, w
 		}
 	}
-	return s, -1
+	return ways, order, -1
 }
 
 // install fills la into its set, evicting LRU (writing back if dirty).
@@ -244,21 +282,23 @@ func (c *Cache) lookup(la int64) (set, way int) {
 // displaced the victim line.
 func (c *Cache) install(req int, la int64, dirty bool) {
 	s := c.setOf(la)
-	order := c.lru[s]
+	if c.block[s] == 0 {
+		c.addBlock(s)
+	}
+	ways, order := c.set(s)
 	victim := int(order[len(order)-1])
-	for w := range c.sets[s] { // prefer an invalid way
-		if !c.sets[s][w].valid {
+	for w, l := range ways { // prefer an invalid way
+		if l == 0 {
 			victim = w
 			break
 		}
 	}
-	v := &c.sets[s][victim]
-	if v.valid && v.dirty {
+	if v := ways[victim]; v.dirty() {
 		c.Stats.Writebacks++
-		c.backend.EnqueueWrite(req, v.tag*int64(c.cfg.LineBytes))
+		c.backend.EnqueueWrite(req, v.tag()*int64(c.cfg.LineBytes))
 	}
-	*v = line{tag: la, valid: true, dirty: dirty}
-	c.touch(s, victim)
+	ways[victim] = makeLine(la, dirty)
+	touch(order, victim)
 }
 
 func (c *Cache) account(core int, hit bool) {
@@ -284,11 +324,11 @@ func (c *Cache) account(core int, hit bool) {
 // read queue are full) — the caller must retry.
 func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 	la := c.lineAddr(addr)
-	if s, w := c.lookup(la); w >= 0 {
+	if ways, order, w := c.lookup(la); w >= 0 {
 		c.account(core, true)
-		c.touch(s, w)
+		touch(order, w)
 		if write {
-			c.sets[s][w].dirty = true
+			ways[w] |= 1
 		}
 		if onDone != nil {
 			c.schedule(c.cfg.HitLatency, onDone)
@@ -363,12 +403,12 @@ func (c *Cache) ReadUncached(core int, addr int64, onDone func()) bool {
 	if !c.backend.EnqueueRead(core, la*int64(c.cfg.LineBytes), onDone) {
 		return false
 	}
-	if s, w := c.lookup(la); w >= 0 {
-		if c.sets[s][w].dirty {
+	if ways, _, w := c.lookup(la); w >= 0 {
+		if ways[w].dirty() {
 			c.Stats.Writebacks++
 			c.backend.EnqueueWrite(core, la*int64(c.cfg.LineBytes))
 		}
-		c.sets[s][w] = line{}
+		ways[w] = 0
 	}
 	c.account(core, false)
 	return true

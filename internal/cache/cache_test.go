@@ -1,6 +1,12 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+)
 
 // fakeMem records backend traffic (with requester attribution) and
 // completes reads on demand.
@@ -26,6 +32,14 @@ func (f *fakeMem) EnqueueRead(requester int, addr int64, onDone func()) bool {
 func (f *fakeMem) EnqueueWrite(requester int, addr int64) {
 	f.writes = append(f.writes, addr)
 	f.writeReqs = append(f.writeReqs, requester)
+}
+
+// complete fires the i-th outstanding read, letting tests finish fills
+// in any order.
+func (f *fakeMem) complete(i int) {
+	fn := f.pending[i]
+	f.pending = append(f.pending[:i], f.pending[i+1:]...)
+	fn()
 }
 
 func (f *fakeMem) completeAll() {
@@ -56,6 +70,169 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{SizeBytes: 1000, Assoc: 3, LineBytes: 64}, mem, 1); err == nil {
 		t.Error("non-power-of-two set count accepted")
 	}
+	// LRU stacks hold int8 way numbers: wider sets would wrap them.
+	if _, err := New(Config{SizeBytes: 200 * 64, Assoc: 200, LineBytes: 64}, mem, 1); err == nil {
+		t.Error("associativity above 127 accepted")
+	}
+	if _, err := New(Config{SizeBytes: 127 * 64, Assoc: 127, LineBytes: 64}, mem, 1); err != nil {
+		t.Errorf("associativity 127 rejected: %v", err)
+	}
+}
+
+// TestNewAllocBound is the allocation gate of cache construction: New
+// sizes only the set index, so building a Table 6 LLC (32,768 sets) must
+// not allocate its 16 MiB of ways up front. The dense layout allocated
+// about 5.8 MiB here, once per simulated core mix.
+func TestNewAllocBound(t *testing.T) {
+	const bound = 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(Table6Config(), &fakeMem{}, 8)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("New(Table6Config()) allocated %d bytes, want <= %d", got, bound)
+	}
+}
+
+// TestSparseMatchesDense drives the production cache and the dense
+// reference layout (reference_test.go) with one seeded random stream of
+// reads, writes, flush+loads, ticks, out-of-order fill completions and
+// stats resets from three requesters, with the backend rejecting some
+// reads. Every operation must be accepted or rejected alike, every
+// counter must agree after every operation, and the backends must see
+// the same read and writeback streams and the same callback order.
+func TestSparseMatchesDense(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"small", smallConfig()},
+		{"table6", Table6Config()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				diffRun(t, tc.cfg, seed, 20000)
+			}
+		})
+	}
+}
+
+func diffRun(t *testing.T, cfg Config, seed int64, ops int) {
+	t.Helper()
+	const cores = 3
+	gotMem, refMem := &fakeMem{}, &fakeMem{}
+	got, err := New(cfg, gotMem, cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRef(cfg, refMem, cores)
+	var gotDone, refDone []int
+	rng := rand.New(rand.NewSource(seed))
+
+	// Most traffic lands on a few hot sets, with tags spread over three
+	// times the associativity, so sets fill, evict and write back.
+	nsets := cfg.SizeBytes / int64(cfg.LineBytes) / int64(cfg.Assoc)
+	hot := make([]int64, 8)
+	for i := range hot {
+		hot[i] = rng.Int63n(nsets)
+	}
+	addr := func() int64 {
+		set := hot[rng.Intn(len(hot))]
+		if rng.Intn(10) == 0 {
+			set = rng.Int63n(nsets)
+		}
+		tag := rng.Int63n(int64(3 * cfg.Assoc))
+		return (tag*nsets+set)*int64(cfg.LineBytes) + rng.Int63n(int64(cfg.LineBytes))
+	}
+
+	var backendRejects, mshrRejects, outOfOrder, hits int
+	for op := 0; op < ops; op++ {
+		hitsBefore := got.Stats.Hits
+		reject := rng.Intn(8) == 0
+		gotMem.rejectRd, refMem.rejectRd = reject, reject
+		core := rng.Intn(cores)
+		id := op
+		gotCB := func() { gotDone = append(gotDone, id) }
+		refCB := func() { refDone = append(refDone, id) }
+		var gotOK, refOK bool
+		access := true
+		switch r := rng.Intn(100); {
+		case r < 35:
+			a := addr()
+			gotOK, refOK = got.Read(core, a, gotCB), ref.Read(core, a, refCB)
+		case r < 55:
+			a := addr()
+			gotOK, refOK = got.Write(core, a), ref.Write(core, a)
+		case r < 62:
+			a := addr()
+			gotOK, refOK = got.ReadUncached(core, a, gotCB), ref.ReadUncached(core, a, refCB)
+		case r < 80:
+			access = false
+			got.Tick()
+			ref.Tick()
+		case r < 99:
+			access = false
+			if len(gotMem.pending) != len(refMem.pending) {
+				t.Fatalf("seed %d op %d: %d pending fills, reference %d", seed, op, len(gotMem.pending), len(refMem.pending))
+			}
+			if n := len(gotMem.pending); n > 0 {
+				i := rng.Intn(n)
+				if i > 0 {
+					outOfOrder++
+				}
+				gotMem.complete(i)
+				refMem.complete(i)
+			}
+		default:
+			access = false
+			got.ResetStats()
+			ref.ResetStats()
+		}
+		if gotOK != refOK {
+			t.Fatalf("seed %d op %d: accepted %v, reference %v", seed, op, gotOK, refOK)
+		}
+		if access && got.Stats.Hits > hitsBefore {
+			hits++
+		}
+		if access && !gotOK {
+			if reject {
+				backendRejects++
+			} else {
+				mshrRejects++
+			}
+		}
+		if got.Stats != ref.Stats || !reflect.DeepEqual(got.PerCore, ref.PerCore) {
+			t.Fatalf("seed %d op %d: stats %+v %+v, reference %+v %+v", seed, op, got.Stats, got.PerCore, ref.Stats, ref.PerCore)
+		}
+		if len(gotMem.writes) != len(refMem.writes) || len(gotMem.reads) != len(refMem.reads) || len(gotDone) != len(refDone) {
+			t.Fatalf("seed %d op %d: traffic diverged", seed, op)
+		}
+	}
+	for _, cmp := range []struct {
+		what     string
+		got, ref any
+	}{
+		{"read addresses", gotMem.reads, refMem.reads},
+		{"read requesters", gotMem.readReqs, refMem.readReqs},
+		{"writeback addresses", gotMem.writes, refMem.writes},
+		{"writeback requesters", gotMem.writeReqs, refMem.writeReqs},
+		{"callback order", gotDone, refDone},
+	} {
+		if !reflect.DeepEqual(cmp.got, cmp.ref) {
+			t.Errorf("seed %d: %s differ from the reference", seed, cmp.what)
+		}
+	}
+	// The stream must have exercised every path it claims to cover.
+	coverage := fmt.Sprintf("%d hits, %d backend rejects, %d MSHR rejects, %d out-of-order fills, %d writebacks",
+		hits, backendRejects, mshrRejects, outOfOrder, len(gotMem.writes))
+	if hits == 0 || backendRejects == 0 || mshrRejects == 0 || outOfOrder == 0 || len(gotMem.writes) == 0 {
+		t.Errorf("seed %d: stream misses a path: %s", seed, coverage)
+	}
+	t.Logf("seed %d: %s", seed, coverage)
 }
 
 func TestMissThenHit(t *testing.T) {

@@ -3,8 +3,11 @@
 # bench_test.go suite under both simulation engines with pinned
 # -benchtime/-count so numbers stay comparable across PRs.
 #
-# Usage: scripts/bench.sh [out.json]     (default BENCH_8.json)
-#   BENCHTIME=3x COUNT=5 scripts/bench.sh    # override the pins
+# Usage: scripts/bench.sh out.json    # e.g. BENCH_13.json, relative to the repo root
+#   BENCHTIME=3x COUNT=5 scripts/bench.sh out.json    # override the pins
+#
+# The output path is required, so a bare run cannot overwrite a committed
+# trajectory point.
 #
 # Per benchmark the minimum ns/op over COUNT runs is kept — the standard
 # noise-robust statistic for shared machines — along with that run's
@@ -13,11 +16,16 @@
 # engines alternate per iteration so slow host periods skew both columns
 # equally instead of whichever engine happened to run second.
 set -euo pipefail
+
+if [ "$#" -ne 1 ]; then
+	echo "usage: scripts/bench.sh out.json   (e.g. BENCH_13.json)" >&2
+	exit 2
+fi
+OUT="$1"
 cd "$(dirname "$0")/.." || exit 1
 
 BENCHTIME="${BENCHTIME:-3x}"
 COUNT="${COUNT:-5}"
-OUT="${1:-BENCH_8.json}"
 
 run() {
 	RH_ENGINE="$1" go test -run '^$' -bench . -benchtime="$BENCHTIME" -benchmem -count=1 .
