@@ -12,7 +12,6 @@ import (
 	rowhammer "repro"
 	"repro/internal/attack"
 	"repro/internal/cache"
-	"repro/internal/chips"
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/memctrl"
@@ -22,24 +21,33 @@ import (
 	"repro/internal/trace"
 )
 
-// benchOptions is the reduced characterization scale used per iteration.
-func benchOptions() core.Options {
-	return core.Options{
-		Scale:             chips.ScaleTiny,
-		Stride:            1,
-		MaxChipsPerConfig: 1,
-		Iterations:        2,
-		Seed:              1,
+// benchArtifact performs one complete run of an experiment through the
+// registry (spec, run, artifact; the path `rhx run` takes) at seed 1.
+func benchArtifact[A core.Artifact](b *testing.B, name string, params any) A {
+	b.Helper()
+	spec, err := core.NewSpec(name, 1, params)
+	if err != nil {
+		b.Fatal(err)
 	}
+	res, err := core.Run(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := res.Artifact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return art.(A)
+}
+
+// benchParams is the reduced characterization scale used per iteration.
+func benchParams() core.CharParams {
+	return core.CharParams{Scale: "tiny", Stride: 1, Chips: 1, Iterations: 2}
 }
 
 func BenchmarkTable1Population(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := core.RunTable1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) == 0 {
+		if t := benchArtifact[*core.Table1](b, "table1", benchParams()); len(t.Rows) == 0 {
 			b.Fatal("empty census")
 		}
 	}
@@ -47,11 +55,7 @@ func BenchmarkTable1Population(b *testing.B) {
 
 func BenchmarkTable2RowHammerable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := core.RunTable2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) != 6 {
+		if t := benchArtifact[*core.Table2](b, "table2", benchParams()); len(t.Rows) != 6 {
 			b.Fatalf("got %d rows", len(t.Rows))
 		}
 	}
@@ -59,99 +63,77 @@ func BenchmarkTable2RowHammerable(b *testing.B) {
 
 func BenchmarkTable3WorstPattern(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunTable3(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Table3](b, "table3", benchParams())
 	}
 }
 
 func BenchmarkTable4HCFirst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := core.RunHCFirstStudy(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Rows) == 0 {
+		if s := benchArtifact[*core.Table4](b, "table4", benchParams()); len(s.Rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
 }
 
 func BenchmarkTable5Monotonicity(b *testing.B) {
-	o := benchOptions()
-	o.Iterations = 4
-	o.Stride = 4
+	p := benchParams()
+	p.Iterations = 4
+	p.Stride = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunTable5(o); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Table5](b, "table5", p)
 	}
 }
 
 func BenchmarkFigure4Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure4(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Figure4](b, "fig4", benchParams())
 	}
 }
 
 func BenchmarkFigure5RateVsHC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure5(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Figure5](b, "fig5", benchParams())
 	}
 }
 
 func BenchmarkFigure6Spatial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure6(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Figure6](b, "fig6", benchParams())
 	}
 }
 
 func BenchmarkFigure7WordDensity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure7(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Figure7](b, "fig7", benchParams())
 	}
 }
 
 func BenchmarkFigure8HCFirstDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := core.RunHCFirstStudy(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s.FormatFigure8()
+		_ = benchArtifact[*core.Figure8](b, "fig8", benchParams()).Format()
 	}
 }
 
 func BenchmarkFigure9ECC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure9(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		benchArtifact[*core.Figure9](b, "fig9", benchParams())
 	}
 }
 
 func BenchmarkTables7and8Modules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(core.RunTable7().Modules) != 110 {
+		if len(benchArtifact[*core.ModuleTable](b, "table7", nil).Modules) != 110 {
 			b.Fatal("DDR4 module count")
 		}
-		if len(core.RunTable8().Modules) != 60 {
+		if len(benchArtifact[*core.ModuleTable](b, "table8", nil).Modules) != 60 {
 			b.Fatal("DDR3 module count")
 		}
 	}
 }
 
-// benchMitigationOptions is one reduced Figure 10 sweep.
-func benchMitigationOptions() core.MitigationOptions {
-	return core.MitigationOptions{
+// benchFig10Params is one reduced Figure 10 sweep.
+func benchFig10Params() core.Fig10Params {
+	return core.Fig10Params{
 		Mixes:        2,
 		Cores:        4,
 		TraceRecords: 1_000,
@@ -162,26 +144,21 @@ func benchMitigationOptions() core.MitigationOptions {
 			core.MechPARA, core.MechIdeal, core.MechTWiCeIdeal,
 			core.MechProHIT, core.MechMRLoc,
 		},
-		Seed: 1,
 	}
 }
 
 func BenchmarkFigure10Mitigations(b *testing.B) {
-	o := benchMitigationOptions()
+	p := benchFig10Params()
 	for i := 0; i < b.N; i++ {
-		f, err := core.RunFigure10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f.Points) == 0 {
+		if f := benchArtifact[*core.Figure10](b, "fig10", p); len(f.Points) == 0 {
 			b.Fatal("no points")
 		}
 	}
 }
 
-// benchAttackOptions is one reduced attack-evaluation grid point.
-func benchAttackOptions() core.AttackOptions {
-	return core.AttackOptions{
+// benchAttackParams is one reduced attack-evaluation grid point.
+func benchAttackParams() core.AttackParams {
+	return core.AttackParams{
 		Patterns:     []attack.Kind{attack.DoubleSided},
 		Mechanisms:   []core.MechanismID{core.MechNone, core.MechIdeal},
 		HCSweep:      []int{512},
@@ -189,18 +166,13 @@ func benchAttackOptions() core.AttackOptions {
 		TraceRecords: 800,
 		MemCycles:    150_000,
 		Rows:         1024,
-		Seed:         1,
 	}
 }
 
 func BenchmarkAttackEval(b *testing.B) {
-	o := benchAttackOptions()
+	p := benchAttackParams()
 	for i := 0; i < b.N; i++ {
-		ev, err := core.RunAttackEval(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ev.Points) != 2 {
+		if ev := benchArtifact[*core.AttackEval](b, "attack", p); len(ev.Points) != 2 {
 			b.Fatalf("points = %d", len(ev.Points))
 		}
 	}

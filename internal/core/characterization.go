@@ -12,11 +12,11 @@ import (
 
 // The characterization experiments (Tables 1–5, 7, 8 and Figures 4–9)
 // live in the experiment registry (see regchar.go for the task grids and
-// per-chip cell runners). This file keeps the artifact types, the
+// per-chip cell runners). This file keeps the artifact types and the
 // aggregation logic that turns ordered per-chip cells into each
-// artifact, and the legacy RunX(Options) wrappers, which now build a
-// spec and route through Run — one code path whether an experiment runs
-// in-process, sharded across machines, or from a spec file.
+// artifact. Every run goes through a spec and Run — one code path
+// whether an experiment runs in-process, sharded across machines, or
+// from a spec file.
 
 // newTester instantiates a population chip and wraps it in a tester with
 // its worst-case pattern written, the state every experiment starts from.
@@ -92,15 +92,6 @@ type Table1 struct {
 	Rows []chips.CensusRow
 }
 
-// RunTable1 tabulates the population.
-func RunTable1(o Options) (*Table1, error) {
-	art, err := runOptions("table1", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table1), nil
-}
-
 // --- Table 2 ---------------------------------------------------------------
 
 // Table2Row is one cell of Table 2: RowHammerable DDR3 chips.
@@ -110,20 +101,11 @@ type Table2Row struct {
 	Total      int
 }
 
-// Table2 reports the fraction of DDR3 chips with any flips at HC < 150k.
+// Table2 reports the fraction of DDR3 chips with any flips at HC < 150k,
+// counted over the full module list (ground-truth census; Section 5.1
+// defines RowHammerable as flipping within the 150k sweep).
 type Table2 struct {
 	Rows []Table2Row
-}
-
-// RunTable2 counts RowHammerable chips over the full module list (ground
-// truth census; Section 5.1 defines RowHammerable as flipping within the
-// 150k sweep).
-func RunTable2(o Options) (*Table2, error) {
-	art, err := runOptions("table2", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table2), nil
 }
 
 // --- Figure 4 / Table 3 ----------------------------------------------------
@@ -140,7 +122,9 @@ type CoverageRow struct {
 	PaperWorst faultmodel.Pattern
 }
 
-// Figure4 holds per-configuration data-pattern coverages.
+// Figure4 holds per-configuration data-pattern coverages, measured on one
+// representative chip per configuration (10 iterations at HC = 150k,
+// Section 5.2). Table 3 falls out of the same data via WorstPattern.
 type Figure4 struct {
 	HC   int
 	Rows []CoverageRow
@@ -149,29 +133,9 @@ type Figure4 struct {
 // figure4HC is the paper's Section 5.2 hammer count.
 const figure4HC = 150_000
 
-// RunFigure4 measures pattern coverage on one representative chip per
-// configuration (10 iterations at HC = 150k, Section 5.2). Table 3 falls
-// out of the same data via WorstPattern.
-func RunFigure4(o Options) (*Figure4, error) {
-	art, err := runOptions("fig4", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure4), nil
-}
-
 // Table3 derives the worst-case pattern table from Figure 4's data.
 type Table3 struct {
 	Rows []CoverageRow
-}
-
-// RunTable3 measures the worst-case data pattern per configuration.
-func RunTable3(o Options) (*Table3, error) {
-	art, err := runOptions("table3", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table3), nil
 }
 
 // --- Figure 5 --------------------------------------------------------------
@@ -186,20 +150,12 @@ type RateSeries struct {
 	Chips  int
 }
 
-// Figure5 aggregates rate curves per configuration.
+// Figure5 aggregates rate curves per configuration: the hammer count
+// swept across chips of every configuration, flip rate averaged per HC
+// (Section 5.3).
 type Figure5 struct {
 	HCs  []int
 	Rows []RateSeries
-}
-
-// RunFigure5 sweeps the hammer count across chips of every configuration
-// and averages the flip rate per HC (Section 5.3).
-func RunFigure5(o Options) (*Figure5, error) {
-	art, err := runOptions("fig5", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure5), nil
 }
 
 // finalizeFigure5 aggregates ordered per-chip curves per configuration.
@@ -253,7 +209,8 @@ type SpatialRow struct {
 	TargetHC string // description of the normalization
 }
 
-// Figure6 is the spatial-distribution study.
+// Figure6 is the spatial-distribution study: each chip normalized to a
+// flip rate of ~1e-6 (the paper's procedure), flip locations profiled.
 type Figure6 struct {
 	TargetRate float64
 	Rows       []SpatialRow
@@ -267,16 +224,6 @@ type spatialCell struct {
 
 // normalizedRate is the paper's Figure 6/7 target flip rate.
 const normalizedRate = 1e-6
-
-// RunFigure6 normalizes each chip to a flip rate of ~1e-6 (the paper's
-// procedure) and profiles flip locations.
-func RunFigure6(o Options) (*Figure6, error) {
-	art, err := runOptions("fig6", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure6), nil
-}
 
 // finalizeFigure6 aggregates ordered per-chip spatial cells.
 func finalizeFigure6(keys []ConfigKey, jobs []chipJob, samples []*spatialCell) *Figure6 {
@@ -320,7 +267,8 @@ type WordDensityRow struct {
 	Chips    int
 }
 
-// Figure7 is the flips-per-64-bit-word study.
+// Figure7 is the flips-per-64-bit-word study, at the same normalized
+// rate as Figure 6.
 type Figure7 struct {
 	TargetRate float64
 	Rows       []WordDensityRow
@@ -330,16 +278,6 @@ type Figure7 struct {
 // normalized run produced no flip-containing words.
 type wordCell struct {
 	Fraction [6]float64 `json:"fraction"`
-}
-
-// RunFigure7 measures the flip-density distribution per 64-bit word at
-// the same normalized rate as Figure 6.
-func RunFigure7(o Options) (*Figure7, error) {
-	art, err := runOptions("fig7", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure7), nil
 }
 
 // finalizeFigure7 aggregates ordered per-chip word-density cells.
@@ -383,7 +321,8 @@ type HCFirstRow struct {
 	PaperMin float64
 }
 
-// HCFirstStudy is the shared data behind Figure 8 and Table 4.
+// HCFirstStudy is the shared data behind Figure 8 and Table 4: HCfirst
+// measured for every instantiated chip.
 type HCFirstStudy struct {
 	Rows []HCFirstRow
 }
@@ -392,15 +331,6 @@ type HCFirstStudy struct {
 type hcFirstCell struct {
 	HC    float64 `json:"hc"`
 	Found bool    `json:"found"`
-}
-
-// RunHCFirstStudy measures HCfirst for every instantiated chip.
-func RunHCFirstStudy(o Options) (*HCFirstStudy, error) {
-	art, err := runOptions("fig8", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure8).HCFirstStudy, nil
 }
 
 // finalizeHCFirst aggregates ordered per-chip first-flip cells.
@@ -474,16 +404,6 @@ type eccCell struct {
 	MultOK [3]bool    `json:"mult_ok"`
 }
 
-// RunFigure9 computes HCfirst/second/third at 64-bit granularity per
-// configuration.
-func RunFigure9(o Options) (*Figure9, error) {
-	art, err := runOptions("fig9", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure9), nil
-}
-
 // finalizeFigure9 aggregates ordered per-chip ECC-word cells.
 func finalizeFigure9(keys []ConfigKey, jobs []chipJob, samples []eccCell) *Figure9 {
 	fig := &Figure9{}
@@ -523,22 +443,13 @@ type Table5Row struct {
 	Cells   int
 }
 
-// Table5 is the flip-probability monotonicity study.
+// Table5 is the flip-probability monotonicity study: per configuration,
+// the share of flipping cells whose flip probability increases
+// monotonically with HC (Section 5.6). Configurations that are not
+// RowHammerable are skipped like the paper's DDR3-old rows.
 type Table5 struct {
 	Iterations int
 	Rows       []Table5Row
-}
-
-// RunTable5 measures, per configuration, the share of flipping cells
-// whose flip probability increases monotonically with HC (Section 5.6).
-// Configurations that are not RowHammerable are skipped like the paper's
-// DDR3-old rows.
-func RunTable5(o Options) (*Table5, error) {
-	art, err := runOptions("table5", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table5), nil
 }
 
 // --- Tables 7 and 8 --------------------------------------------------------
@@ -549,16 +460,6 @@ type ModuleTable struct {
 	Modules []chips.ModuleSpec
 }
 
-// RunTable7 returns the DDR4 module population.
-func RunTable7() *ModuleTable {
-	return &ModuleTable{Title: "Table 7: DDR4 modules", Modules: chips.DDR4Modules()}
-}
-
-// RunTable8 returns the DDR3 module population.
-func RunTable8() *ModuleTable {
-	return &ModuleTable{Title: "Table 8: DDR3 modules", Modules: chips.DDR3Modules()}
-}
-
 // sortedOffsets returns the keys of an offset map in ascending order.
 func sortedOffsets(m map[int]float64) []int {
 	var out []int
@@ -567,14 +468,4 @@ func sortedOffsets(m map[int]float64) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// runOptions is the legacy-wrapper path: convert Options to a spec, run
-// it unsharded, and finalize the artifact.
-func runOptions(name string, o Options) (Artifact, error) {
-	p, err := o.charParams()
-	if err != nil {
-		return nil, err
-	}
-	return runSpecArtifact(name, o.Seed, p, Exec{Parallelism: o.Parallelism})
 }

@@ -1,107 +1,46 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/chips"
-)
+import "testing"
 
 // The engine's contract: formatted experiment output is byte-identical
-// regardless of worker count. These tests pin it for representative
-// runners of each shape — one-chip-per-config (Table 3), all-chips fan-out
-// (Figure 9, Figure 8/Table 4), and the two-phase mitigation sweep
-// (Figure 10).
+// regardless of Exec.Parallelism. These tests pin it for representative
+// experiments of each shape — one-chip-per-config (Table 3), all-chips
+// fan-out (Figure 9, Figure 8/Table 4), and the two-phase mitigation
+// sweep (Figure 10).
 
-// detOptions returns tiny-scale options at the given parallelism.
-func detOptions(parallelism int) Options {
-	return Options{
-		Scale:             chips.ScaleTiny,
-		Stride:            1,
-		MaxChipsPerConfig: 2,
-		Iterations:        2,
-		Parallelism:       parallelism,
-		Seed:              1,
-	}
-}
+// detParams is the tiny characterization scale of these tests.
+var detParams = CharParams{Scale: "tiny", Chips: 2, Iterations: 2}
 
 func TestCharacterizationParallelismInvariant(t *testing.T) {
 	runners := []struct {
 		name string
-		run  func(Options) (string, error)
+		exps []string
 	}{
-		{"table2", func(o Options) (string, error) {
-			r, err := RunTable2(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"table3", func(o Options) (string, error) {
-			r, err := RunTable3(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"table5", func(o Options) (string, error) {
-			r, err := RunTable5(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure5", func(o Options) (string, error) {
-			r, err := RunFigure5(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure6", func(o Options) (string, error) {
-			r, err := RunFigure6(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure7", func(o Options) (string, error) {
-			r, err := RunFigure7(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure8+table4", func(o Options) (string, error) {
-			r, err := RunHCFirstStudy(o)
-			if err != nil {
-				return "", err
-			}
-			return r.FormatFigure8() + r.FormatTable4(), nil
-		}},
-		{"figure9", func(o Options) (string, error) {
-			r, err := RunFigure9(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
+		{"table2", []string{"table2"}},
+		{"table3", []string{"table3"}},
+		{"table5", []string{"table5"}},
+		{"figure5", []string{"fig5"}},
+		{"figure6", []string{"fig6"}},
+		{"figure7", []string{"fig7"}},
+		{"figure8+table4", []string{"fig8", "table4"}},
+		{"figure9", []string{"fig9"}},
 	}
 	for _, tc := range runners {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			serial, err := tc.run(detOptions(1))
-			if err != nil {
-				t.Fatalf("parallelism=1: %v", err)
+			run := func(parallelism int) string {
+				var out string
+				for _, name := range tc.exps {
+					out += runArtifact[Artifact](t, name, 1, detParams, parallelism).Format()
+				}
+				return out
 			}
+			serial := run(1)
 			if serial == "" {
 				t.Fatal("empty output")
 			}
-			parallel, err := tc.run(detOptions(8))
-			if err != nil {
-				t.Fatalf("parallelism=8: %v", err)
-			}
-			if serial != parallel {
+			if parallel := run(8); serial != parallel {
 				t.Errorf("output differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 			}
 		})
@@ -110,7 +49,7 @@ func TestCharacterizationParallelismInvariant(t *testing.T) {
 
 func TestFigure10ParallelismInvariant(t *testing.T) {
 	run := func(parallelism int) string {
-		o := MitigationOptions{
+		return runArtifact[*Figure10](t, "fig10", 3, Fig10Params{
 			Mixes:        2,
 			Cores:        2,
 			TraceRecords: 800,
@@ -118,14 +57,7 @@ func TestFigure10ParallelismInvariant(t *testing.T) {
 			MeasureInsts: 5_000,
 			HCSweep:      []int{100_000, 2_000, 256},
 			Mechanisms:   []MechanismID{MechPARA, MechIdeal, MechProHIT},
-			Parallelism:  parallelism,
-			Seed:         3,
-		}
-		f, err := RunFigure10(o)
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", parallelism, err)
-		}
-		return f.Format()
+		}, parallelism).Format()
 	}
 	serial := run(1)
 	parallel := run(8)

@@ -16,12 +16,12 @@ import (
 )
 
 // This file is the shared sweep core behind the system-level evaluation
-// runners. RunFigure10 (benign overhead), RunAttackEval (security under
-// attack) and RunParetoSweep (the combined frontier) are all two-phase
-// experiments — a baseline phase followed by a grid fanned out over the
-// deterministic engine — and they share the machinery here: scheduler
-// selection, the benign baseline, per-mix baselines, and the single-cell
-// attack runner every grid point funnels through.
+// experiments. fig10 (benign overhead), attack (security under attack)
+// and pareto (the combined frontier) are all two-phase experiments — a
+// baseline phase followed by a grid fanned out over the deterministic
+// engine — and they share the machinery here: scheduler selection, the
+// benign baseline, per-mix baselines, and the single-cell attack runner
+// every grid point funnels through.
 
 // SchedulerID names a memory-controller scheduling policy of the sweep's
 // scheduler axis.
@@ -69,6 +69,16 @@ func attackSimCfg(memCycles int64, rows int) sim.Config {
 	cfg.MeasureInsts = 1 << 40 // duration-terminated: MaxCPUCycles decides
 	cfg.MaxCPUCycles = memCycles * int64(cfg.CPUFreqMHz) / int64(cfg.MemFreqMHz)
 	return cfg
+}
+
+// checkRows rejects a rows-per-bank override too small for an attack
+// stream at spec decode; 0 keeps the Table 6 geometry.
+func checkRows(exp string, rows int) error {
+	if rows > 0 && rows < attack.MinRows {
+		return fmt.Errorf("core: %s rows %d below the attack minimum of %d (0 keeps the Table 6 geometry)",
+			exp, rows, attack.MinRows)
+	}
+	return nil
 }
 
 // attackChip builds the victim chip for an HCfirst point: a DDR4-like
@@ -176,8 +186,8 @@ type sweepCell struct {
 	trr *mitigation.TRRConfig
 }
 
-// cellOptions carries the system-shape knobs runSweepCell needs; both
-// AttackOptions and ParetoOptions reduce to it.
+// cellOptions carries the system-shape knobs runSweepCell needs; the
+// attack, pareto and trr-dodge params all reduce to it.
 type cellOptions struct {
 	MemCycles     int64
 	AttackRecords int
@@ -307,90 +317,6 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 
 // --- Pareto sweep --------------------------------------------------------
 
-// ParetoOptions scales the combined security/overhead sweep: the
-// (mechanism × scheduler × HCfirst) grid, each point evaluated under
-// every attack pattern plus one attacker-free run.
-type ParetoOptions struct {
-	Mechanisms []MechanismID
-	Schedulers []SchedulerID
-	Patterns   []attack.Kind
-	HCSweep    []int
-
-	// BenignCores / TraceRecords size the benign side of each mix;
-	// MemCycles the attack window; Rows the per-bank geometry (0 =
-	// Table 6); AttackRecords one attacker trace pass (0 = default).
-	BenignCores   int
-	TraceRecords  int
-	MemCycles     int64
-	Rows          int
-	AttackRecords int
-
-	// ECC evaluates LPDDR4-like chips with on-die ECC: escaped flips are
-	// post-correction, reported alongside the raw count.
-	ECC bool
-	// AttackSpec carries pattern pacing (Phase/DutyCycle/Gap) applied to
-	// every synthesized stream; Kind/Records/Seed are set per grid cell.
-	AttackSpec attack.Spec
-
-	// BLISSStreaks / BLISSClears turn the BLISS scheduler parameters into
-	// sweep axes: every BLISS grid point is evaluated at each (streak,
-	// clearing-interval) combination. Empty means one point at the
-	// controller defaults (streak 4, 10k cycles). FR-FCFS points ignore
-	// both axes.
-	BLISSStreaks []int
-	BLISSClears  []int64
-
-	Parallelism int
-	Seed        uint64
-}
-
-// DefaultParetoOptions is the CLI-scale configuration: the unprotected
-// baseline, the paper's most scalable refresh-based mechanism, both
-// BlockHammer admission policies and the oracle bound, under both
-// schedulers, against the two highest-pressure patterns.
-func DefaultParetoOptions() ParetoOptions {
-	return ParetoOptions{
-		Mechanisms: []MechanismID{MechNone, MechPARA, MechBlockHammerBlanket, MechBlockHammer, MechIdeal},
-		Schedulers: Schedulers(),
-		Patterns:   []attack.Kind{attack.DoubleSided, attack.Decoy},
-		HCSweep:    []int{4_800, 512},
-
-		BenignCores:  3,
-		TraceRecords: 2_000,
-		MemCycles:    3_000_000,
-		Seed:         1,
-	}
-}
-
-func (o ParetoOptions) normalized() ParetoOptions {
-	d := DefaultParetoOptions()
-	if len(o.Mechanisms) == 0 {
-		o.Mechanisms = d.Mechanisms
-	}
-	if len(o.Schedulers) == 0 {
-		o.Schedulers = d.Schedulers
-	}
-	if len(o.Patterns) == 0 {
-		o.Patterns = d.Patterns
-	}
-	if len(o.HCSweep) == 0 {
-		o.HCSweep = d.HCSweep
-	}
-	if o.BenignCores <= 0 {
-		o.BenignCores = d.BenignCores
-	}
-	if o.TraceRecords <= 0 {
-		o.TraceRecords = d.TraceRecords
-	}
-	if o.MemCycles <= 0 {
-		o.MemCycles = d.MemCycles
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
-
 // ParetoPoint is one (mechanism, scheduler, HCfirst) frontier candidate,
 // aggregated across attack patterns.
 type ParetoPoint struct {
@@ -432,22 +358,39 @@ type ParetoSweep struct {
 	ECC       bool
 }
 
-// ParetoParams is the declarative (spec) form of ParetoOptions.
+// ParetoParams is the parameter block of the combined security/overhead
+// sweep: the (mechanism × scheduler × HCfirst) grid, each point
+// evaluated under every attack pattern plus one attacker-free run. Zero
+// fields take the CLI-scale defaults in normalized: the unprotected
+// baseline, the paper's most scalable refresh-based mechanism, both
+// BlockHammer admission policies and the oracle bound, under both
+// schedulers, against the two highest-pressure patterns.
 type ParetoParams struct {
-	Mechanisms    []MechanismID `json:"mechanisms,omitempty"`
-	Schedulers    []SchedulerID `json:"schedulers,omitempty"`
-	Patterns      []attack.Kind `json:"patterns,omitempty"`
-	HCSweep       []int         `json:"hc,omitempty"`
-	BenignCores   int           `json:"benign_cores,omitempty"`
-	TraceRecords  int           `json:"trace_records,omitempty"`
-	MemCycles     int64         `json:"mem_cycles,omitempty"`
-	Rows          int           `json:"rows,omitempty"`
-	AttackRecords int           `json:"attack_records,omitempty"`
-	ECC           bool          `json:"ecc,omitempty"`
-	Attack        *attack.Spec  `json:"attack,omitempty"`
-	// BLISSStreaks / BLISSClears are the BLISS scheduler-parameter axes
-	// (ROADMAP's fairness/throughput trade-off map); empty means one
-	// point at the controller defaults.
+	Mechanisms []MechanismID `json:"mechanisms,omitempty"`
+	Schedulers []SchedulerID `json:"schedulers,omitempty"`
+	Patterns   []attack.Kind `json:"patterns,omitempty"`
+	HCSweep    []int         `json:"hc,omitempty"`
+	// BenignCores / TraceRecords size the benign side of each mix;
+	// MemCycles the attack window; Rows the per-bank geometry (0 =
+	// Table 6, otherwise at least attack.MinRows); AttackRecords one
+	// attacker trace pass (0 = default). The defaults and their meaning
+	// match AttackParams.
+	BenignCores   int   `json:"benign_cores,omitempty"`
+	TraceRecords  int   `json:"trace_records,omitempty"`
+	MemCycles     int64 `json:"mem_cycles,omitempty"`
+	Rows          int   `json:"rows,omitempty"`
+	AttackRecords int   `json:"attack_records,omitempty"`
+	// ECC evaluates LPDDR4-like chips with on-die ECC: escaped flips are
+	// post-correction, reported alongside the raw count.
+	ECC bool `json:"ecc,omitempty"`
+	// Attack carries pacing applied to every synthesized stream; kind,
+	// records and seed are set per grid cell.
+	Attack *attack.Spec `json:"attack,omitempty"`
+	// BLISSStreaks / BLISSClears turn the BLISS scheduler parameters into
+	// sweep axes: every BLISS grid point is evaluated at each (streak,
+	// clearing-interval) combination. Empty means one point at the
+	// controller defaults (streak 4, 10k cycles). FR-FCFS points ignore
+	// both axes.
 	BLISSStreaks []int   `json:"bliss_streaks,omitempty"`
 	BLISSClears  []int64 `json:"bliss_clears,omitempty"`
 }
@@ -471,6 +414,9 @@ func (p *ParetoParams) Validate() error {
 		countParam{"attack_records", int64(p.AttackRecords)}); err != nil {
 		return err
 	}
+	if err := checkRows("pareto", p.Rows); err != nil {
+		return err
+	}
 	for _, s := range p.BLISSStreaks {
 		if s <= 0 {
 			return fmt.Errorf("core: pareto bliss_streaks value %d not positive (omit the field for the controller default)", s)
@@ -484,48 +430,27 @@ func (p *ParetoParams) Validate() error {
 	return nil
 }
 
-// options expands the params into the imperative ParetoOptions form.
-func (p ParetoParams) options(seed uint64) ParetoOptions {
-	o := ParetoOptions{
-		Mechanisms:    p.Mechanisms,
-		Schedulers:    p.Schedulers,
-		Patterns:      p.Patterns,
-		HCSweep:       p.HCSweep,
-		BenignCores:   p.BenignCores,
-		TraceRecords:  p.TraceRecords,
-		MemCycles:     p.MemCycles,
-		Rows:          p.Rows,
-		AttackRecords: p.AttackRecords,
-		ECC:           p.ECC,
-		BLISSStreaks:  p.BLISSStreaks,
-		BLISSClears:   p.BLISSClears,
-		Seed:          seed,
+func (p ParetoParams) normalized() ParetoParams {
+	if len(p.Mechanisms) == 0 {
+		p.Mechanisms = []MechanismID{MechNone, MechPARA, MechBlockHammerBlanket, MechBlockHammer, MechIdeal}
 	}
-	if p.Attack != nil {
-		o.AttackSpec = *p.Attack
+	if len(p.Schedulers) == 0 {
+		p.Schedulers = Schedulers()
 	}
-	return o
-}
-
-// paretoParams converts legacy options into the spec parameter form.
-func (o ParetoOptions) paretoParams() ParetoParams {
-	p := ParetoParams{
-		Mechanisms:    o.Mechanisms,
-		Schedulers:    o.Schedulers,
-		Patterns:      o.Patterns,
-		HCSweep:       o.HCSweep,
-		BenignCores:   o.BenignCores,
-		TraceRecords:  o.TraceRecords,
-		MemCycles:     o.MemCycles,
-		Rows:          o.Rows,
-		AttackRecords: o.AttackRecords,
-		ECC:           o.ECC,
-		BLISSStreaks:  o.BLISSStreaks,
-		BLISSClears:   o.BLISSClears,
+	if len(p.Patterns) == 0 {
+		p.Patterns = []attack.Kind{attack.DoubleSided, attack.Decoy}
 	}
-	if o.AttackSpec != (attack.Spec{}) {
-		spec := o.AttackSpec
-		p.Attack = &spec
+	if len(p.HCSweep) == 0 {
+		p.HCSweep = []int{4_800, 512}
+	}
+	if p.BenignCores <= 0 {
+		p.BenignCores = 3
+	}
+	if p.TraceRecords <= 0 {
+		p.TraceRecords = 2_000
+	}
+	if p.MemCycles <= 0 {
+		p.MemCycles = 3_000_000
 	}
 	return p
 }
@@ -538,15 +463,15 @@ type blissVariant struct {
 
 // blissVariants expands the configured axes; FR-FCFS uses the single
 // zero variant.
-func (o ParetoOptions) blissVariants(sched SchedulerID) []blissVariant {
+func (p ParetoParams) blissVariants(sched SchedulerID) []blissVariant {
 	if sched != SchedBLISS {
 		return []blissVariant{{}}
 	}
-	streaks := o.BLISSStreaks
+	streaks := p.BLISSStreaks
 	if len(streaks) == 0 {
 		streaks = []int{0}
 	}
-	clears := o.BLISSClears
+	clears := p.BLISSClears
 	if len(clears) == 0 {
 		clears = []int64{0}
 	}
@@ -562,12 +487,13 @@ func (o ParetoOptions) blissVariants(sched SchedulerID) []blissVariant {
 // paretoGrid flattens the (mechanism × scheduler-variant × HCfirst) grid:
 // per point, every attack pattern plus the benign-only cell, in
 // deterministic order. The stream seed depends only on (pattern, HCfirst)
-// so every contender faces the same chip and attacker stream.
-func paretoGrid(o ParetoOptions) (keys []string, cells []sweepCell) {
-	for _, mech := range o.Mechanisms {
-		for _, sched := range o.Schedulers {
-			for _, v := range o.blissVariants(sched) {
-				for hi, hc := range o.HCSweep {
+// so every contender faces the same chip and attacker stream; seed is
+// the spec's base seed.
+func paretoGrid(p ParetoParams, seed uint64) (keys []string, cells []sweepCell) {
+	for _, mech := range p.Mechanisms {
+		for _, sched := range p.Schedulers {
+			for _, v := range p.blissVariants(sched) {
+				for hi, hc := range p.HCSweep {
 					add := func(pat attack.Kind, seed uint64) {
 						cells = append(cells, sweepCell{
 							Mech: mech, Sched: sched, Pattern: pat, HC: hc,
@@ -581,8 +507,8 @@ func paretoGrid(o ParetoOptions) (keys []string, cells []sweepCell) {
 						keys = append(keys, fmt.Sprintf("mech=%s/sched=%s/hc=%d/pat=%s",
 							mech, variantLabel(sched, v.streak, v.clear), hc, patLabel))
 					}
-					for pi, p := range o.Patterns {
-						add(p, engine.DeriveSeed(o.Seed^0x57eea, uint64(pi*len(o.HCSweep)+hi)))
+					for pi, pat := range p.Patterns {
+						add(pat, engine.DeriveSeed(seed^0x57eea, uint64(pi*len(p.HCSweep)+hi)))
 					}
 					add("", 0)
 				}
@@ -614,21 +540,6 @@ func (p ParetoPoint) SchedulerLabel() string {
 	return variantLabel(p.Scheduler, p.BLISSStreak, p.BLISSClear)
 }
 
-// RunParetoSweep evaluates the (mechanism × scheduler × HCfirst) grid:
-// every point runs one mixed attacker+benign simulation per attack
-// pattern plus one attacker-free run, all fanned out over the experiment
-// engine (results are bit-identical for any Parallelism), and the
-// worst-case aggregates form escaped-flips-vs-benign-overhead frontier
-// points per HCfirst. The BLISS streak/clear axes multiply the scheduler
-// dimension when set.
-func RunParetoSweep(o ParetoOptions) (*ParetoSweep, error) {
-	art, err := runSpecArtifact("pareto", o.Seed, o.paretoParams(), Exec{Parallelism: o.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return art.(*ParetoSweep), nil
-}
-
 func init() {
 	register(&experiment{
 		name:        "pareto",
@@ -639,24 +550,29 @@ func init() {
 			if err := rc.decode(&p); err != nil {
 				return nil, err
 			}
-			o := p.options(rc.spec.Seed).normalized()
-			cfg := attackSimCfg(o.MemCycles, o.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, o.BenignCores, o.TraceRecords, o.Seed)
+			p = p.normalized()
+			cfg := attackSimCfg(p.MemCycles, p.Rows)
+			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
 			if err != nil {
 				return nil, err
 			}
-			keys, cells := paretoGrid(o)
+			// Every grid point runs one mixed attacker+benign simulation
+			// per attack pattern plus one attacker-free run; finalize
+			// folds them into worst-case frontier points per HCfirst.
+			keys, cells := paretoGrid(p, rc.spec.Seed)
 			co := cellOptions{
-				MemCycles:     o.MemCycles,
-				AttackRecords: o.AttackRecords,
-				ECC:           o.ECC,
-				Spec:          o.AttackSpec,
+				MemCycles:     p.MemCycles,
+				AttackRecords: p.AttackRecords,
+				ECC:           p.ECC,
+			}
+			if p.Attack != nil {
+				co.Spec = *p.Attack
 			}
 			meta := sweepMeta{
-				MemCycles: o.MemCycles,
-				WallMS:    float64(o.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", o.BenignCores, base.MPKI),
-				ECC:       o.ECC,
+				MemCycles: p.MemCycles,
+				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
+				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
+				ECC:       p.ECC,
 			}
 			return gridResult(rc, meta, keys, cells,
 				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
@@ -673,32 +589,32 @@ func init() {
 			if err := decodeParams(res.Spec.Params, &p); err != nil {
 				return nil, err
 			}
-			o := p.options(res.Spec.Seed).normalized()
+			p = p.normalized()
 			var meta sweepMeta
 			if err := json.Unmarshal(res.Meta, &meta); err != nil {
 				return nil, fmt.Errorf("core: pareto meta: %w", err)
 			}
-			keys, cells := paretoGrid(o)
+			keys, cells := paretoGrid(p, res.Spec.Seed)
 			results, err := cellsInOrder[AttackPoint](res, keys)
 			if err != nil {
 				return nil, err
 			}
-			return finalizePareto(o, meta, cells, results), nil
+			return finalizePareto(p, meta, cells, results), nil
 		},
 	})
 }
 
 // finalizePareto aggregates each grid point's pattern block (worst case)
 // plus its benign-only run into frontier points.
-func finalizePareto(o ParetoOptions, meta sweepMeta, cells []sweepCell, results []AttackPoint) *ParetoSweep {
+func finalizePareto(p ParetoParams, meta sweepMeta, cells []sweepCell, results []AttackPoint) *ParetoSweep {
 	sweep := &ParetoSweep{
-		Patterns:  o.Patterns,
+		Patterns:  p.Patterns,
 		MemCycles: meta.MemCycles,
 		WallMS:    meta.WallMS,
 		Benign:    meta.Benign,
 		ECC:       meta.ECC,
 	}
-	perPoint := len(o.Patterns) + 1
+	perPoint := len(p.Patterns) + 1
 	for start := 0; start+perPoint <= len(results); start += perPoint {
 		block := results[start : start+perPoint]
 		cell := cells[start]

@@ -21,11 +21,11 @@ import (
 
 // charPlan is one characterization experiment's resolved task grid.
 type charPlan struct {
-	o     Options
-	pop   *chips.Population
-	keys  []ConfigKey
-	jobs  []chipJob
-	iters int
+	stride int
+	pop    *chips.Population
+	keys   []ConfigKey
+	jobs   []chipJob
+	iters  int
 }
 
 // charGridDef describes how an experiment builds its grid.
@@ -42,19 +42,33 @@ type charGridDef struct {
 	defaultIters int
 }
 
-// charPlanFor expands a spec into the experiment's task grid.
+// charPlanFor expands a spec into the experiment's task grid, resolving
+// the params' scale, module set, chip cap, stride and iteration count.
 func charPlanFor(spec ExperimentSpec, def charGridDef) (*charPlan, error) {
 	var p CharParams
 	if err := decodeParams(spec.Params, &p); err != nil {
 		return nil, err
 	}
-	o, err := p.options(spec.Seed)
-	if err != nil {
-		return nil, err
+	scale := scalesByName[p.Scale]
+	if p.CustomScale != nil {
+		scale = *p.CustomScale
 	}
-	o = o.normalized()
-	plan := &charPlan{o: o, pop: o.population()}
-	byCfg := o.chipsByConfig(plan.pop)
+	if scale.Rows == 0 {
+		scale = chips.ScaleSmall
+	}
+	maxPerConfig := p.Chips
+	switch {
+	case p.Chips < 0: // every chip
+		maxPerConfig = 0
+	case p.Chips == 0:
+		maxPerConfig = defaultChipsPerConfig
+	}
+	plan := &charPlan{
+		stride: max(p.Stride, 1),
+		pop:    chips.NewPopulation(moduleSets[p.Modules](), scale, spec.Seed),
+		iters:  p.Iterations,
+	}
+	byCfg := chipsByConfig(plan.pop, maxPerConfig)
 	if def.keys != nil {
 		plan.keys = def.keys()
 	} else {
@@ -65,7 +79,6 @@ func charPlanFor(spec ExperimentSpec, def charGridDef) (*charPlan, error) {
 	} else {
 		plan.jobs = chipGrid(plan.keys, byCfg, def.keep)
 	}
-	plan.iters = o.Iterations
 	if plan.iters == 0 {
 		plan.iters = def.defaultIters
 	}
@@ -163,7 +176,7 @@ func coverageCell(pl *charPlan, j chipJob) (CoverageRow, error) {
 	if hc > t.MaxHC {
 		hc = t.MaxHC
 	}
-	cov, err := t.MeasureCoverage(hc, pl.iters, pl.o.Stride)
+	cov, err := t.MeasureCoverage(hc, pl.iters, pl.stride)
 	if err != nil {
 		return CoverageRow{}, fmt.Errorf("coverage %v: %w", j.key, err)
 	}
@@ -218,7 +231,7 @@ func init() {
 				return nil, err
 			}
 			// One ground-truth census shared by every configuration cell.
-			counts := chips.SpecRowHammerable(pl.o.Modules, pl.o.Seed)
+			counts := chips.SpecRowHammerable(pl.pop.Modules, rc.spec.Seed)
 			return gridResult(rc, nil, configKeyStrings(pl.keys), pl.keys,
 				func(_ engine.TaskContext, k ConfigKey) (Table2Row, error) {
 					v := counts[k.Node][k.Mfr]
@@ -257,7 +270,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			curve, err := t.RateCurve(charact.DefaultRateHCs(), pl.o.Stride)
+			curve, err := t.RateCurve(charact.DefaultRateHCs(), pl.stride)
 			if err != nil {
 				return nil, fmt.Errorf("rate curve %v: %w", j.key, err)
 			}
@@ -274,11 +287,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			hc, err := t.HCForRate(normalizedRate, pl.o.Stride)
+			hc, err := t.HCForRate(normalizedRate, pl.stride)
 			if err != nil {
 				return nil, err
 			}
-			sp, err := t.MeasureSpatial(hc, pl.o.Stride)
+			sp, err := t.MeasureSpatial(hc, pl.stride)
 			if err != nil {
 				return nil, err
 			}
@@ -298,11 +311,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			hc, err := t.HCForRate(normalizedRate, pl.o.Stride)
+			hc, err := t.HCForRate(normalizedRate, pl.stride)
 			if err != nil {
 				return nil, err
 			}
-			wd, err := t.MeasureWordDensity(hc, pl.o.Stride)
+			wd, err := t.MeasureWordDensity(hc, pl.stride)
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +333,7 @@ func init() {
 		if err != nil {
 			return hcFirstCell{}, err
 		}
-		hc, found, err := t.MeasureHCFirst(charact.HCFirstOptions{Stride: pl.o.Stride})
+		hc, found, err := t.MeasureHCFirst(charact.HCFirstOptions{Stride: pl.stride})
 		if err != nil {
 			return hcFirstCell{}, fmt.Errorf("hcfirst %s: %w", j.spec.Name, err)
 		}
@@ -373,7 +386,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			m, err := t.MeasureMonotonicity(nil, pl.iters, pl.o.Stride)
+			m, err := t.MeasureMonotonicity(nil, pl.iters, pl.stride)
 			if err != nil {
 				return nil, fmt.Errorf("monotonicity %v: %w", j.key, err)
 			}
@@ -395,7 +408,7 @@ func init() {
 	// table7/table8: static module tables, one task each. They accept
 	// CharParams for spec-template uniformity but the population tables
 	// are scale-independent.
-	moduleTable := func(name, desc string, build func() *ModuleTable) {
+	moduleTable := func(name, desc, title string, modules func() []chips.ModuleSpec) {
 		register(&experiment{
 			name:        name,
 			description: desc,
@@ -403,7 +416,7 @@ func init() {
 			run: func(rc *runCtx) (*Result, error) {
 				return gridResult(rc, nil, []string{"modules"}, []int{0},
 					func(engine.TaskContext, int) ([]chips.ModuleSpec, error) {
-						return build().Modules, nil
+						return modules(), nil
 					})
 			},
 			finalize: func(res *Result) (Artifact, error) {
@@ -411,12 +424,12 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				return &ModuleTable{Title: build().Title, Modules: mods[0]}, nil
+				return &ModuleTable{Title: title, Modules: mods[0]}, nil
 			},
 		})
 	}
-	moduleTable("table7", "Table 7: DDR4 module population", RunTable7)
-	moduleTable("table8", "Table 8: DDR3 module population", RunTable8)
+	moduleTable("table7", "Table 7: DDR4 module population", "Table 7: DDR4 modules", chips.DDR4Modules)
+	moduleTable("table8", "Table 8: DDR3 module population", "Table 8: DDR3 modules", chips.DDR3Modules)
 }
 
 // configKeyStrings renders a configuration list as task keys.

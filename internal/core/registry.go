@@ -141,8 +141,8 @@ func (rc *runCtx) engineOptions(seed uint64) engine.Options {
 func (rc *runCtx) decode(into any) error { return decodeParams(rc.spec.Params, into) }
 
 // Run executes a spec's shard of its experiment with default execution
-// options. It is the single entry point behind every RunX wrapper and
-// CLI.
+// options. Run, RunWith and RunContext are the only ways to run an
+// experiment; every CLI, the service and the Go API go through them.
 func Run(spec ExperimentSpec) (*Result, error) { return RunWith(spec, Exec{}) }
 
 // RunWith executes a spec's shard with explicit execution options.
@@ -398,18 +398,4 @@ func cellsInOrder[C any](res *Result, keys []string) ([]C, error) {
 		}
 	}
 	return out, nil
-}
-
-// runSpecArtifact is the wrapper path: run a spec and finalize its
-// artifact in one call (the body of every legacy RunX function).
-func runSpecArtifact(name string, seed uint64, params any, ex Exec) (Artifact, error) {
-	spec, err := NewSpec(name, seed, params)
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunWith(spec, ex)
-	if err != nil {
-		return nil, err
-	}
-	return res.Artifact()
 }

@@ -108,8 +108,10 @@ func TestParetoParamsRejectNonPositiveBLISSAxes(t *testing.T) {
 // TestAttackPacingSpecValidation pins the bugfix at the spec layer:
 // out-of-range duty_cycle/phase inside the attack/pareto families' attack
 // block must fail strict decode with a clear error, not silently run an
-// unpaced stream. The same holds for non-positive HCfirst points and
-// negative counts in the fig10/attack/pareto params.
+// unpaced stream. The same holds for non-positive HCfirst points,
+// negative counts and too-small rows overrides in the fig10/attack/pareto
+// params, and for unknown names and out-of-domain counts in the
+// characterization params.
 func TestAttackPacingSpecValidation(t *testing.T) {
 	bad := []struct{ spec, want string }{
 		{`{"name":"fig10","params":{"hc":[2000,0]}}`, "hc"},
@@ -131,6 +133,14 @@ func TestAttackPacingSpecValidation(t *testing.T) {
 		{`{"name":"pareto","params":{"mem_cycles":-1}}`, "mem_cycles"},
 		{`{"name":"pareto","params":{"rows":-4096}}`, "rows"},
 		{`{"name":"pareto","params":{"attack_records":-1}}`, "attack_records"},
+		{`{"name":"attack","params":{"rows":3}}`, "rows"},
+		{`{"name":"attack","params":{"rows":8}}`, "rows"},
+		{`{"name":"pareto","params":{"rows":15}}`, "rows"},
+		{`{"name":"fig5","params":{"scale":"huge"}}`, "scale"},
+		{`{"name":"fig5","params":{"modules":"ddr5"}}`, "module set"},
+		{`{"name":"table5","params":{"stride":-3}}`, "stride"},
+		{`{"name":"table5","params":{"chips":-7}}`, "chips"},
+		{`{"name":"table5","params":{"iterations":-2}}`, "iterations"},
 		{`{"name":"attack","params":{"attack":{"duty_cycle":1.5}}}`, "duty_cycle"},
 		{`{"name":"attack","params":{"attack":{"duty_cycle":1}}}`, "duty_cycle"},
 		{`{"name":"attack","params":{"attack":{"duty_cycle":-0.25}}}`, "duty_cycle"},
@@ -150,6 +160,9 @@ func TestAttackPacingSpecValidation(t *testing.T) {
 		`{"name":"pareto","params":{"attack":{"duty_cycle":0.99}}}`,
 		`{"name":"fig10","params":{"mixes":0,"hc":[2000,256]}}`,
 		`{"name":"attack","params":{"rows":0,"benign_cores":0,"hc":[512]}}`,
+		`{"name":"attack","params":{"rows":16}}`,
+		`{"name":"pareto","params":{"rows":17}}`,
+		`{"name":"table5","params":{"scale":"tiny","modules":"lpddr4","chips":-1,"stride":0,"iterations":0}}`,
 	} {
 		if _, err := DecodeSpec([]byte(good)); err != nil {
 			t.Errorf("%s: rejected: %v", good, err)
@@ -320,6 +333,7 @@ func TestApplySetsRejectsLikeSpecFile(t *testing.T) {
 		{"attack", "ecc=1", "cannot unmarshal"},    // number into bool
 		{"fig10", "hc=[0]", "not positive"},        // Validate runs too
 		{"attack", "rows=-1", "must not be negative"},
+		{"fig5", "scale=huge", "unknown scale"},
 		{"fig5", "chips", "key=value"},
 		{"fig5", "=2", "key=value"},
 	} {

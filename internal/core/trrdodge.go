@@ -85,7 +85,8 @@ func DefaultTRRDodgeParams() TRRDodgeParams {
 
 // Validate rejects out-of-domain axis values at spec decode: duty cycles
 // and phases outside [0,1), sample rates outside (0,1], non-positive
-// table sizes, a negative HCfirst and negative counts.
+// table sizes, a negative HCfirst, negative counts and a rows override
+// below attack.MinRows.
 func (p *TRRDodgeParams) Validate() error {
 	for _, d := range p.DutyCycles {
 		if d < 0 || d >= 1 {
@@ -110,10 +111,13 @@ func (p *TRRDodgeParams) Validate() error {
 	if p.HCFirst < 0 {
 		return fmt.Errorf("core: trr-dodge hc %d must not be negative", p.HCFirst)
 	}
-	return checkCounts("trr-dodge",
+	if err := checkCounts("trr-dodge",
 		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
 		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
-		countParam{"attack_records", int64(p.AttackRecords)})
+		countParam{"attack_records", int64(p.AttackRecords)}); err != nil {
+		return err
+	}
+	return checkRows("trr-dodge", p.Rows)
 }
 
 func (p TRRDodgeParams) normalized() TRRDodgeParams {
@@ -246,17 +250,6 @@ func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []dodgeCe
 		}
 	}
 	return keys, cells
-}
-
-// RunTRRDodge runs the duty-cycle dodge study with the given parameters
-// (zero-value fields take the defaults) — the wrapper over the
-// "trr-dodge" registry entry.
-func RunTRRDodge(p TRRDodgeParams, seed uint64, parallelism int) (*TRRDodge, error) {
-	art, err := runSpecArtifact("trr-dodge", seed, p, Exec{Parallelism: parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return art.(*TRRDodge), nil
 }
 
 func init() {

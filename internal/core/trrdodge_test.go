@@ -79,6 +79,8 @@ func TestTRRDodgeValidation(t *testing.T) {
 		{`{"name":"trr-dodge","params":{"trace_records":-2000}}`, "trace_records"},
 		{`{"name":"trr-dodge","params":{"mem_cycles":-1}}`, "mem_cycles"},
 		{`{"name":"trr-dodge","params":{"rows":-1024}}`, "rows"},
+		{`{"name":"trr-dodge","params":{"rows":3}}`, "rows"},
+		{`{"name":"trr-dodge","params":{"rows":15}}`, "rows"},
 		{`{"name":"trr-dodge","params":{"attack_records":-1}}`, "attack_records"},
 		{`{"name":"trr-dodge","params":{"tabel_sizes":[4]}}`, "params"},
 	}
@@ -141,10 +143,7 @@ func dodgeTestParams() TRRDodgeParams {
 // where full-rate hammering is blocked by the sampler, a paced attack at
 // DutyCycle < 1 escapes flips.
 func TestTRRDodgeShowsDodge(t *testing.T) {
-	dodge, err := RunTRRDodge(dodgeTestParams(), 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dodge := runArtifact[*TRRDodge](t, "trr-dodge", 7, dodgeTestParams(), 0)
 	fullRate, ok := dodge.PointFor(attack.DoubleSided, 0, 0, 0.5, 4)
 	if !ok {
 		t.Fatal("grid missing the full-rate baseline point")

@@ -179,6 +179,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"bad shard", `{"name": "fig5", "shard": {"index": 9, "count": 2}}`, http.StatusBadRequest},
 		{"zero hcfirst", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
 		{"negative rows", `{"name": "attack", "params": {"rows": -1024}}`, http.StatusBadRequest},
+		{"unknown scale", `{"name":"fig5","params":{"scale":"huge"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,7 @@
 // "Revisiting RowHammer: An Experimental Analysis of Modern DRAM Devices
 // and Mitigation Techniques" (Kim et al., ISCA 2020).
 //
-// It exposes four layers:
+// It exposes five layers:
 //
 //   - The fault model (Chip, ChipConfig, Pattern): simulated DRAM chips
 //     with RowHammer protection disabled, calibrated to the paper's 1580
@@ -15,31 +15,31 @@
 //   - The system simulator and mitigation mechanisms (SimConfig, RunSim,
 //     NewPARA, …): the cycle-accurate Section 6 evaluation behind
 //     Figure 10.
-//   - The attack subsystem (AttackSpec, HammerObserver, RunAttackEval):
-//     adversarial hammering streams as first-class traces, coupled to the
-//     fault model through the controller's command stream — the security
-//     side of the mitigation evaluation the paper doesn't contain. The
-//     TRR dodge study (NewTRR, RunTRRDodge) closes the loop on in-DRAM
-//     sampling defenses: refresh-synchronized duty-cycle pacing
-//     (AttackSpec.DutyCycle/Phase) escapes a sampler that blocks the
-//     same attack at full rate.
+//   - The attack subsystem (AttackSpec, HammerObserver): adversarial
+//     hammering streams as first-class traces, coupled to the fault
+//     model through the controller's command stream — the security side
+//     of the mitigation evaluation the paper doesn't contain. The TRR
+//     dodge study closes the loop on in-DRAM sampling defenses:
+//     refresh-synchronized duty-cycle pacing (AttackSpec.DutyCycle/Phase)
+//     escapes a sampler (NewTRR) that blocks the same attack at full
+//     rate.
 //
-// The experiment runners (RunTable1 … RunFigure10, RunAttackEval)
-// regenerate every table and figure of the paper plus the attack
-// evaluation; see EXPERIMENTS.md for paper-vs-measured values. Every
-// runner fans its (configuration, chip) or (mechanism, HCfirst) grid out
-// over a deterministic parallel engine: the Parallelism field of
-// Options / MitigationOptions / AttackOptions bounds worker count and
-// changes wall-clock time only — results are bit-identical for any value.
-//
-// Underneath the runners sits the declarative experiment API: every
-// experiment is a named entry in a registry (Experiments()), fully
-// described by a JSON-serializable ExperimentSpec (name + params + seed
-// + shard) and executed by RunExperiment. Specs shard: running every
-// index of a shard count — on one machine or many — and merging the
-// results (MergeResults) reproduces the unsharded artifact byte for
-// byte. The RunX functions are thin wrappers over this path; the rhx
-// CLI exposes it directly (rhx run / merge / list).
+// Every table and figure of the paper, plus the attack, pareto and
+// trr-dodge evaluations, is a named entry in the experiment registry
+// (Experiments()). One JSON-serializable ExperimentSpec — name, params,
+// seed, shard — fully describes a run: build it with NewExperimentSpec
+// from the experiment's params struct (CharParams, Fig10Params,
+// AttackParams, ParetoParams, TRRDodgeParams), execute it with
+// RunExperiment or RunExperimentWith, and rebuild the typed artifact
+// (*Table1 … *Figure10, *AttackEval, *ParetoSweep, *TRRDodge) with
+// Artifact() on the result. See EXPERIMENTS.md for paper-vs-measured
+// values. Each run fans its grid out over a deterministic parallel
+// engine: ExperimentExec.Parallelism bounds the worker count and changes
+// wall-clock time only — results are bit-identical for any value. Specs
+// shard: running every index of a shard count — on one machine or many —
+// and merging the results (MergeExperimentResults) reproduces the
+// unsharded artifact byte for byte. The rhx CLI exposes the same path
+// (rhx run / merge / list).
 package rowhammer
 
 import (
@@ -172,6 +172,25 @@ type (
 	TRRDodgeParams = core.TRRDodgeParams
 )
 
+// Experiment artifacts: the typed tables and figures Artifact() rebuilds
+// from a complete result. Figure 8 and Table 4 are two renderings of one
+// HCfirst study; Tables 7 and 8 share ModuleTable.
+type (
+	Table1      = core.Table1
+	Table2      = core.Table2
+	Table3      = core.Table3
+	Table4      = core.Table4
+	Table5      = core.Table5
+	ModuleTable = core.ModuleTable
+	Figure4     = core.Figure4
+	Figure5     = core.Figure5
+	Figure6     = core.Figure6
+	Figure7     = core.Figure7
+	Figure8     = core.Figure8
+	Figure9     = core.Figure9
+	Figure10    = core.Figure10
+)
+
 // Experiments lists the registry in canonical order.
 func Experiments() []ExperimentInfo { return core.Experiments() }
 
@@ -202,44 +221,6 @@ func DecodeExperimentResult(data []byte) (*ExperimentResult, error) { return cor
 func MergeExperimentResults(parts ...*ExperimentResult) (*ExperimentResult, error) {
 	return core.MergeResults(parts...)
 }
-
-// --- Experiments -------------------------------------------------------
-
-// Options scales the characterization experiments. Its Parallelism field
-// bounds the experiment engine's worker pool (0 = all cores) without
-// affecting results.
-type Options = core.Options
-
-// MitigationOptions scales the Figure 10 evaluation; like Options, its
-// Parallelism field trades wall-clock for cores, never results.
-type MitigationOptions = core.MitigationOptions
-
-// DefaultOptions returns CLI-scale characterization options.
-func DefaultOptions() Options { return core.DefaultOptions() }
-
-// DefaultMitigationOptions returns CLI-scale mitigation options.
-func DefaultMitigationOptions() MitigationOptions { return core.DefaultMitigationOptions() }
-
-// Experiment runners, one per paper artifact.
-var (
-	RunTable1  = core.RunTable1
-	RunTable2  = core.RunTable2
-	RunTable3  = core.RunTable3
-	RunTable5  = core.RunTable5
-	RunTable7  = core.RunTable7
-	RunTable8  = core.RunTable8
-	RunFigure4 = core.RunFigure4
-	RunFigure5 = core.RunFigure5
-	RunFigure6 = core.RunFigure6
-	RunFigure7 = core.RunFigure7
-	RunFigure9 = core.RunFigure9
-
-	// RunHCFirstStudy backs both Figure 8 and Table 4.
-	RunHCFirstStudy = core.RunHCFirstStudy
-
-	// RunFigure10 is the mitigation-mechanism evaluation.
-	RunFigure10 = core.RunFigure10
-)
 
 // --- System simulation -------------------------------------------------
 
@@ -361,31 +342,20 @@ type AttackFlipEvent = attack.FlipEvent
 // written data pattern).
 func NewHammerObserver(chip *Chip) *HammerObserver { return attack.NewObserver(chip) }
 
-// AttackOptions scales the attack evaluation; AttackEval is its result.
-type AttackOptions = core.AttackOptions
+// AttackEval is the attack experiment's artifact; AttackPoint one
+// (mechanism, pattern, HCfirst) outcome.
 type AttackEval = core.AttackEval
-
-// AttackPoint is one (mechanism, pattern, HCfirst) outcome.
 type AttackPoint = core.AttackPoint
 
-// MechanismID names a mechanism in the evaluation runners.
+// MechanismID names a mechanism in the evaluation grids.
 type MechanismID = core.MechanismID
-
-// DefaultAttackOptions returns the CLI-scale attack evaluation options.
-func DefaultAttackOptions() AttackOptions { return core.DefaultAttackOptions() }
-
-// RunAttackEval runs the security evaluation the paper doesn't contain:
-// mixed attacker+benign simulations over a (mechanism × pattern ×
-// HCfirst) grid, reporting escaped flips, time to first flip and achieved
-// aggressor ACT rate alongside benign performance and bandwidth overhead.
-func RunAttackEval(o AttackOptions) (*AttackEval, error) { return core.RunAttackEval(o) }
 
 // REFWindow summarizes the command stream a HammerObserver saw between two
 // consecutive REF commands (the TRR sampling granularity).
 type REFWindow = attack.REFWindow
 
 // SchedulerID names a memory-controller scheduling policy of the sweep
-// runners' scheduler axis: the paper's FR-FCFS baseline or the
+// experiments' scheduler axis: the paper's FR-FCFS baseline or the
 // fairness-aware BLISS variant (per-requester service-streak
 // blacklisting).
 type SchedulerID = core.SchedulerID
@@ -399,25 +369,14 @@ const (
 // Schedulers lists the scheduler axis in evaluation order.
 func Schedulers() []SchedulerID { return core.Schedulers() }
 
-// ParetoOptions scales the combined security/overhead sweep; ParetoSweep
-// is its result and ParetoPoint one (mechanism, scheduler, HCfirst)
-// frontier candidate.
-type ParetoOptions = core.ParetoOptions
+// ParetoSweep is the pareto experiment's artifact: the combined
+// security/overhead sweep, worst-case escaped flips against worst-case
+// benign throughput per (mechanism, scheduler, HCfirst) point, with
+// ParetoPoint one frontier candidate.
 type ParetoSweep = core.ParetoSweep
 type ParetoPoint = core.ParetoPoint
 
-// DefaultParetoOptions returns the CLI-scale Pareto sweep options.
-func DefaultParetoOptions() ParetoOptions { return core.DefaultParetoOptions() }
-
-// RunParetoSweep evaluates the (mechanism × scheduler × HCfirst) grid
-// under every attack pattern plus one attacker-free run, aggregating
-// worst-case escaped flips against worst-case benign throughput into
-// frontier points per HCfirst — the BlockHammer paper's Figure 11 shape,
-// generalized with a scheduler axis. Results are bit-identical for any
-// Parallelism.
-func RunParetoSweep(o ParetoOptions) (*ParetoSweep, error) { return core.RunParetoSweep(o) }
-
-// TRRDodge is the duty-cycle dodge study's result; DodgePoint one grid
+// TRRDodge is the trr-dodge experiment's artifact; DodgePoint one grid
 // cell (pattern × pacing × sampler configuration) with its security
 // outcome, sampler effort and per-REF timeline evidence.
 type TRRDodge = core.TRRDodge
@@ -425,18 +384,6 @@ type DodgePoint = core.DodgePoint
 
 // DefaultTRRDodgeParams returns the CLI-scale dodge-study grid.
 func DefaultTRRDodgeParams() TRRDodgeParams { return core.DefaultTRRDodgeParams() }
-
-// RunTRRDodge runs the ROADMAP's duty-cycle security study: a (sampler
-// rate × table size × pattern × duty-cycle × phase) grid of attacks
-// against the in-DRAM TRR sampler, reporting escaped flips, the
-// sampler's effort, and the per-REF timeline evidence of the dodge. Duty
-// cycle 0 is the full-rate baseline; the headline finding is a paced
-// attack escaping a sampler configuration that blocks the same attack at
-// full rate ("trr-dodge" in the experiment registry, `rhx run -name
-// trr-dodge` on the command line).
-func RunTRRDodge(p TRRDodgeParams, seed uint64, parallelism int) (*TRRDodge, error) {
-	return core.RunTRRDodge(p, seed, parallelism)
-}
 
 // --- DRAM substrate ------------------------------------------------------
 

@@ -80,23 +80,37 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
+// runPublic runs one experiment through the facade's spec path and
+// returns its artifact.
+func runPublic(t *testing.T, name string, params any) any {
+	t.Helper()
+	spec, err := rowhammer.NewExperimentSpec(name, 1, params)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	res, err := rowhammer.RunExperimentWith(spec, rowhammer.ExperimentExec{Parallelism: 2})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	art, err := res.Artifact()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return art
+}
+
 func TestPublicAPIExperimentRunners(t *testing.T) {
-	o := rowhammer.DefaultOptions()
-	o.Scale = rowhammer.ScaleTiny
-	o.MaxChipsPerConfig = 1
-	o.Iterations = 2
-	t1, err := rowhammer.RunTable1(o)
-	if err != nil || len(t1.Rows) == 0 {
-		t.Fatalf("Table 1: %v", err)
+	p := rowhammer.CharParams{Scale: "tiny", Chips: 1, Iterations: 2}
+	if t1 := runPublic(t, "table1", p).(*rowhammer.Table1); len(t1.Rows) == 0 {
+		t.Fatal("Table 1: empty census")
 	}
-	t2, err := rowhammer.RunTable2(o)
-	if err != nil || len(t2.Rows) != 6 {
-		t.Fatalf("Table 2: %v", err)
+	if t2 := runPublic(t, "table2", p).(*rowhammer.Table2); len(t2.Rows) != 6 {
+		t.Fatalf("Table 2: %d rows, want 6", len(t2.Rows))
 	}
-	if len(rowhammer.RunTable7().Modules) != 110 {
+	if t7 := runPublic(t, "table7", nil).(*rowhammer.ModuleTable); len(t7.Modules) != 110 {
 		t.Error("Table 7 module count")
 	}
-	if len(rowhammer.RunTable8().Modules) != 60 {
+	if t8 := runPublic(t, "table8", nil).(*rowhammer.ModuleTable); len(t8.Modules) != 60 {
 		t.Error("Table 8 module count")
 	}
 }
