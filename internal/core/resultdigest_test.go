@@ -63,20 +63,45 @@ var goldenResultDigests = map[string]string{
 	"trr-dodge": "65571156b7455663ad60373e98a57e6d1662a31f0f4b100b912e6603207aa191",
 }
 
+// goldenFormatDigests pins the SHA-256 of res.Format() for the same
+// specs: the rendered report, which finalize rebuilds from the result
+// bytes. Same-bytes refactors of a finalize keep it as is.
+var goldenFormatDigests = map[string]string{
+	"table1":    "7f9c6088463a3bb707af058a6c8c76326f018666170c881ca36c2b0bfb01d92b",
+	"table2":    "a206fa339b16ff45fb4193a2ae9a1c09543550bc4d747f03d967ac4be686e2ca",
+	"fig4":      "3a24aed1223ad24a4f2dc9914cfe6b867181fb23a7912d55663b3c818ca1e3e5",
+	"table3":    "6349439eab57491853020f38916635739771af73b5e72bc308993ab19eb0673f",
+	"fig5":      "75e299a7bc490fd8b23e70a4e89395c8ac39c8029649af6a197c870bd39ca1d4",
+	"fig6":      "e242ce4c2a67e896287c45c5824490ea37ca1f3e6e46f449713e05c3c16a79ae",
+	"fig7":      "f764d09cc95051f192e950a1c2f83c033c5a704d0a5598fbc3633c13edf9def0",
+	"fig8":      "8a60457237838161c8036546335f97b302f32a49271e4bcbf540a9972a60b06c",
+	"table4":    "3af65c8b2526b7d125c10349b8dd281d8377f50bebe2363764ec78878e3e96bf",
+	"fig9":      "739744b034a5f49692196181f17b01c3be00f2304b9c211f04adaedd7e29a182",
+	"table5":    "2555e73f60637fb6fef3f1cdad7aa4931f45f7eea723b2514b6d5623036e0bd1",
+	"table7":    "c192562e0c10891d399d8220f75f668ac231b0f9bea2483745ff97d18e96e691",
+	"table8":    "4e6305346437cf5aeb5799696259b8c5d5c472ade53fe5f7a5712dfeb3005914",
+	"fig10":     "d60eb1b81b376cb16387ca4cb7c952affbeaeddbcebfb2d3c64d0f1b0d5779f7",
+	"attack":    "5a8765dd21ceeebfce409d3d1f90bca319f27c24881a61b7c8b9ceaf644661a4",
+	"pareto":    "4a7060c0a490478811b24c73c123b08600fe3f03ee95927cf5eb86e706d370e2",
+	"trr-dodge": "5df41d4c846941022338f1eea17f37b9728828b66e1ce749f4d26da395eaee28",
+}
+
 // TestResultDigestGolden runs every registry entry's tiny spec and
-// compares the digest of its canonical result bytes against the table.
-// An experiment without a pinned digest fails, like an unpinned spec
-// hash does.
+// compares the digests of its canonical result bytes and of its
+// rendered report against the tables. An experiment without a pinned
+// digest fails, like an unpinned spec hash does.
 func TestResultDigestGolden(t *testing.T) {
 	var mu sync.Mutex
-	got := map[string]string{}
+	got, gotFormat := map[string]string{}, map[string]string{}
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
 		}
-		for _, e := range Experiments() {
-			if d, ok := got[e.Name]; ok {
-				t.Logf("\t%q: %q,", e.Name, d)
+		for _, tbl := range []map[string]string{got, gotFormat} {
+			for _, e := range Experiments() {
+				if d, ok := tbl[e.Name]; ok {
+					t.Logf("\t%q: %q,", e.Name, d)
+				}
 			}
 		}
 	})
@@ -103,17 +128,23 @@ func TestResultDigestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(enc)
-			d := hex.EncodeToString(sum[:])
-			mu.Lock()
-			got[name] = d
-			mu.Unlock()
-			want, ok := goldenResultDigests[name]
-			if !ok {
-				t.Fatalf("no golden result digest; pin %s", d)
+			text, err := res.Format()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if d != want {
+			d, df := sha256Hex(enc), sha256Hex([]byte(text))
+			mu.Lock()
+			got[name], gotFormat[name] = d, df
+			mu.Unlock()
+			if want, ok := goldenResultDigests[name]; !ok {
+				t.Errorf("no golden result digest; pin %s", d)
+			} else if d != want {
 				t.Errorf("result digest = %s, want %s — the result bytes changed", d, want)
+			}
+			if want, ok := goldenFormatDigests[name]; !ok {
+				t.Errorf("no golden format digest; pin %s", df)
+			} else if df != want {
+				t.Errorf("format digest = %s, want %s — the rendered report changed", df, want)
 			}
 		})
 	}
@@ -122,4 +153,9 @@ func TestResultDigestGolden(t *testing.T) {
 			t.Errorf("digest spec for %q names no registered experiment", name)
 		}
 	}
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
