@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -19,9 +19,9 @@ import (
 // attack.Observer, reporting security outcomes (escaped flips, time to
 // first flip, achieved aggressor ACT rate) next to the familiar
 // performance metrics (benign slowdown under attack, bandwidth overhead).
-// It shares its baseline and per-cell machinery with the pareto
-// experiment (see paretosweep.go); the difference is the reporting axis
-// — per-pattern points here, worst-case frontier aggregates there.
+// It runs on the adversarial set-up in sweep.go and keeps each cell as
+// one per-pattern point; pareto folds the same cells into worst-case
+// frontier aggregates.
 
 // DefaultAttackMechanisms lists the attack evaluation's default
 // contenders: the unprotected baseline, the paper's most scalable
@@ -114,24 +114,21 @@ type AttackParams struct {
 // Validate rejects attack pacing outside its [0,1) domain at spec
 // decode, so a mistyped duty_cycle/phase fails validation instead of
 // silently evaluating an unpaced stream. Non-positive HCfirst points,
-// negative counts and a rows override below attack.MinRows fail there
-// too.
+// negative counts, a rows override below attack.MinRows, unknown
+// mechanism, scheduler and pattern names, and repeated axis values
+// (duplicate task keys) fail there too.
 func (p *AttackParams) Validate() error {
-	if p.Attack != nil {
-		if err := p.Attack.Validate(); err != nil {
-			return err
-		}
-	}
-	if err := checkHCSweep("attack", p.HCSweep); err != nil {
-		return err
-	}
-	if err := checkCounts("attack",
-		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
-		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
-		countParam{"attack_records", int64(p.AttackRecords)}); err != nil {
-		return err
-	}
-	return checkRows("attack", p.Rows)
+	keys, _ := attackGrid(p.normalized(), 0)
+	return errors.Join(p.system().validate(), checkHCSweep("attack", p.HCSweep),
+		checkNames("attack", "mechanisms", p.Mechanisms, knownMechanism),
+		checkNames("attack", "scheduler", []SchedulerID{p.Scheduler}, knownScheduler),
+		checkNames("attack", "patterns", p.Patterns, knownPattern),
+		uniqueKeys("attack", keys))
+}
+
+// system maps the params onto the shared adversarial set-up.
+func (p AttackParams) system() sweepSystem {
+	return sweepSystem{"attack", p.BenignCores, p.TraceRecords, p.Rows, p.AttackRecords, p.MemCycles, p.ECC, p.Attack}
 }
 
 func (p AttackParams) normalized() AttackParams {
@@ -154,14 +151,6 @@ func (p AttackParams) normalized() AttackParams {
 		p.MemCycles = 3_000_000
 	}
 	return p
-}
-
-// sweepMeta is the shard-invariant metadata of the adversarial sweeps.
-type sweepMeta struct {
-	MemCycles int64   `json:"mem_cycles"`
-	WallMS    float64 `json:"wall_ms"`
-	Benign    string  `json:"benign"`
-	ECC       bool    `json:"ecc,omitempty"`
 }
 
 // attackGrid enumerates the (mechanism × pattern × HCfirst) cells and
@@ -191,73 +180,20 @@ func schedLabel(s SchedulerID) string {
 }
 
 func init() {
-	register(&experiment{
-		name:        "attack",
-		description: "Attack evaluation: mitigations under adversarial hammering (mechanism × pattern × HCfirst)",
-		params:      func() any { return &AttackParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p AttackParams
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
-			// Phase 1 measures the benign cores alone (no attacker, no
-			// mitigation) as the performance baseline; phase 2 fans the
-			// grid out over the experiment engine.
-			cfg := attackSimCfg(p.MemCycles, p.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("attack eval %w", err)
-			}
-			keys, cells := attackGrid(p, rc.spec.Seed)
-			co := cellOptions{
-				MemCycles:     p.MemCycles,
-				AttackRecords: p.AttackRecords,
-				ECC:           p.ECC,
-			}
-			if p.Attack != nil {
-				co.Spec = *p.Attack
-			}
-			meta := sweepMeta{
-				MemCycles: p.MemCycles,
-				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
-				ECC:       p.ECC,
-			}
-			return gridResult(rc, meta, keys, cells,
-				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
-					pt, err := runSweepCell(cfg, co, cell, benign, baseIPC, ctx.Seed)
-					if err != nil {
-						return AttackPoint{}, fmt.Errorf("%s/%s hc=%d: %w", cell.Mech, cell.Pattern, cell.HC, err)
-					}
-					return *pt, nil
-				})
-		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p AttackParams
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			var meta sweepMeta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: attack meta: %w", err)
-			}
-			keys, _ := attackGrid(p.normalized(), res.Spec.Seed)
-			points, err := cellsInOrder[AttackPoint](res, keys)
-			if err != nil {
-				return nil, err
-			}
-			// Points follow the grid's mechanism × pattern × HCfirst
-			// nesting by construction.
+	simExperiment("attack",
+		"Attack evaluation: mitigations under adversarial hammering (mechanism × pattern × HCfirst)",
+		attackGrid, sweepSetup(AttackParams.system, (*sweepRig).attackPoint),
+		// Points follow the grid's mechanism × pattern × HCfirst nesting
+		// by construction.
+		func(_ AttackParams, meta sweepMeta, _ []sweepCell, points []AttackPoint) Artifact {
 			return &AttackEval{
 				Points:    points,
 				MemCycles: meta.MemCycles,
 				WallMS:    meta.WallMS,
 				Benign:    meta.Benign,
 				ECC:       meta.ECC,
-			}, nil
-		},
-	})
+			}
+		})
 }
 
 // PointsFor filters the grid for one mechanism, in report order.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -57,37 +57,45 @@ func AllMechanisms() []MechanismID {
 	}
 }
 
+// mechBuilder constructs one mechanism from its Params and the clock
+// period (only PARA needs the period).
+type mechBuilder func(p mitigation.Params, tckPS int64) (mitigation.Mechanism, error)
+
+// mechanismBuilders holds every mechanism a spec may name: the table
+// buildMechanism constructs from and the params' Validate checks names
+// against.
+var mechanismBuilders = map[MechanismID]mechBuilder{
+	MechNone:               func(mitigation.Params, int64) (mitigation.Mechanism, error) { return mitigation.NewNone(), nil },
+	MechBlockHammer:        paramsOnly(mitigation.NewBlockHammer),
+	MechBlockHammerBinary:  paramsOnly(mitigation.NewBlockHammerBinary),
+	MechBlockHammerBlanket: paramsOnly(mitigation.NewBlockHammerBlanket),
+	MechTRR:                paramsOnly(mitigation.NewTRR),
+	MechIncreasedRefresh:   paramsOnly(mitigation.NewIncreasedRefresh),
+	MechPARA: func(p mitigation.Params, tckPS int64) (mitigation.Mechanism, error) {
+		return mitigation.NewPARA(p, tckPS)
+	},
+	MechProHIT:     paramsOnly(mitigation.NewProHIT),
+	MechMRLoc:      paramsOnly(mitigation.NewMRLoc),
+	MechTWiCe:      func(p mitigation.Params, _ int64) (mitigation.Mechanism, error) { return mitigation.NewTWiCe(p, false) },
+	MechTWiCeIdeal: func(p mitigation.Params, _ int64) (mitigation.Mechanism, error) { return mitigation.NewTWiCe(p, true) },
+	MechIdeal:      paramsOnly(mitigation.NewIdeal),
+}
+
+// paramsOnly adapts a constructor that takes only the Params.
+func paramsOnly[M mitigation.Mechanism](build func(mitigation.Params) (M, error)) mechBuilder {
+	return func(p mitigation.Params, _ int64) (mitigation.Mechanism, error) { return build(p) }
+}
+
+// knownMechanism reports whether buildMechanism can build id.
+func knownMechanism(id MechanismID) bool { _, ok := mechanismBuilders[id]; return ok }
+
 // buildMechanism constructs a mechanism instance for an HCfirst point.
 func buildMechanism(id MechanismID, cfg sim.Config, hcFirst int, seed uint64) (mitigation.Mechanism, error) {
-	p := cfg.MitigationParams(hcFirst, seed)
-	switch id {
-	case MechNone:
-		return mitigation.NewNone(), nil
-	case MechBlockHammer:
-		return mitigation.NewBlockHammer(p)
-	case MechBlockHammerBinary:
-		return mitigation.NewBlockHammerBinary(p)
-	case MechBlockHammerBlanket:
-		return mitigation.NewBlockHammerBlanket(p)
-	case MechTRR:
-		return mitigation.NewTRR(p)
-	case MechIncreasedRefresh:
-		return mitigation.NewIncreasedRefresh(p)
-	case MechPARA:
-		return mitigation.NewPARA(p, cfg.T.TCKPS)
-	case MechProHIT:
-		return mitigation.NewProHIT(p)
-	case MechMRLoc:
-		return mitigation.NewMRLoc(p)
-	case MechTWiCe:
-		return mitigation.NewTWiCe(p, false)
-	case MechTWiCeIdeal:
-		return mitigation.NewTWiCe(p, true)
-	case MechIdeal:
-		return mitigation.NewIdeal(p)
-	default:
+	build, ok := mechanismBuilders[id]
+	if !ok {
 		return nil, fmt.Errorf("core: unknown mechanism %q", id)
 	}
+	return build(cfg.MitigationParams(hcFirst, seed), cfg.T.TCKPS)
 }
 
 // hcPointsFor returns the HCfirst sweep points a mechanism is evaluated
@@ -173,16 +181,18 @@ type Fig10Params struct {
 	Mechanisms []MechanismID `json:"mechanisms,omitempty"`
 }
 
-// Validate rejects non-positive HCfirst points and negative counts at
-// spec decode.
+// Validate rejects non-positive HCfirst points, negative counts,
+// unknown mechanism names and repeated axis values (duplicate task
+// keys) at spec decode.
 func (p *Fig10Params) Validate() error {
-	if err := checkHCSweep("fig10", p.HCSweep); err != nil {
-		return err
-	}
-	return checkCounts("fig10",
-		countParam{"mixes", int64(p.Mixes)}, countParam{"cores", int64(p.Cores)},
-		countParam{"trace_records", int64(p.TraceRecords)},
-		countParam{"warmup_insts", p.WarmupInsts}, countParam{"measure_insts", p.MeasureInsts})
+	keys, _ := fig10Grid(p.normalized(), 0)
+	return errors.Join(checkHCSweep("fig10", p.HCSweep),
+		checkCounts("fig10",
+			countParam{"mixes", int64(p.Mixes)}, countParam{"cores", int64(p.Cores)},
+			countParam{"trace_records", int64(p.TraceRecords)},
+			countParam{"warmup_insts", p.WarmupInsts}, countParam{"measure_insts", p.MeasureInsts}),
+		checkNames("fig10", "mechanisms", p.Mechanisms, knownMechanism),
+		uniqueKeys("fig10", keys))
 }
 
 func (p Fig10Params) normalized() Fig10Params {
@@ -220,8 +230,9 @@ type fig10Job struct {
 	hc   int
 }
 
-// fig10Grid enumerates the (mechanism, HCfirst) tasks and their keys.
-func fig10Grid(p Fig10Params) (keys []string, jobs []fig10Job) {
+// fig10Grid enumerates the (mechanism, HCfirst) tasks and their keys;
+// the grid does not depend on the seed.
+func fig10Grid(p Fig10Params, _ uint64) (keys []string, jobs []fig10Job) {
 	for _, id := range p.Mechanisms {
 		for _, hc := range hcPointsFor(id, p.HCSweep) {
 			keys = append(keys, fmt.Sprintf("mech=%s/hc=%d", id, hc))
@@ -232,60 +243,9 @@ func fig10Grid(p Fig10Params) (keys []string, jobs []fig10Job) {
 }
 
 func init() {
-	register(&experiment{
-		name:        "fig10",
-		description: "Figure 10: mitigation-mechanism overhead across the HCfirst sweep",
-		params:      func() any { return &Fig10Params{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p Fig10Params
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
-			seed := rc.spec.Seed
-			cfg := sim.Table6Config(p.WarmupInsts, p.MeasureInsts)
-			mixes := trace.Mixes(p.Mixes, p.Cores, p.TraceRecords, seed)
-			eo := rc.engineOptions(seed)
-
-			// Phase 1: per-mix baselines (no-mitigation and single-core
-			// alone runs), shared across mechanisms. Every shard
-			// recomputes them — they are inputs to each grid cell, and
-			// being derived purely from the spec's seed they agree
-			// bit-for-bit across shards.
-			baselines, alones, err := mixBaselines(eo, cfg, mixes)
-			if err != nil {
-				return nil, err
-			}
-			meta := fig10Meta{Mixes: len(mixes)}
-			for _, b := range baselines {
-				meta.MixMPKIs = append(meta.MixMPKIs, b.mpki)
-			}
-
-			// Phase 2: the sharded (mechanism, HCfirst) grid.
-			keys, jobs := fig10Grid(p)
-			return gridResult(rc, meta, keys, jobs,
-				func(_ engine.TaskContext, jb fig10Job) (F10Point, error) {
-					pt, err := runPoint(cfg, seed, jb.mech, jb.hc, mixes, alones, baselines)
-					if err != nil {
-						return F10Point{}, err
-					}
-					return *pt, nil
-				})
-		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p Fig10Params
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			var meta fig10Meta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: fig10 meta: %w", err)
-			}
-			keys, _ := fig10Grid(p.normalized())
-			points, err := cellsInOrder[F10Point](res, keys)
-			if err != nil {
-				return nil, err
-			}
+	simExperiment("fig10", "Figure 10: mitigation-mechanism overhead across the HCfirst sweep",
+		fig10Grid, fig10Setup,
+		func(_ Fig10Params, meta fig10Meta, _ []fig10Job, points []F10Point) Artifact {
 			fig := &Figure10{Points: points, Mixes: meta.Mixes, MixMPKIs: meta.MixMPKIs}
 			sort.SliceStable(fig.Points, func(i, j int) bool {
 				if fig.Points[i].Mechanism != fig.Points[j].Mechanism {
@@ -293,9 +253,30 @@ func init() {
 				}
 				return fig.Points[i].HCFirst > fig.Points[j].HCFirst
 			})
-			return fig, nil
-		},
-	})
+			return fig
+		})
+}
+
+// fig10Setup is phase 1 of Figure 10: the per-mix baselines
+// (no-mitigation and single-core alone runs), shared across mechanisms.
+// Every shard recomputes them — they are inputs to each grid cell, and
+// being derived purely from the spec's seed they agree bit-for-bit
+// across shards.
+func fig10Setup(rc *runCtx, p Fig10Params) (fig10Meta, cellFunc[fig10Job, F10Point], error) {
+	seed := rc.spec.Seed
+	cfg := sim.Table6Config(p.WarmupInsts, p.MeasureInsts)
+	mixes := trace.Mixes(p.Mixes, p.Cores, p.TraceRecords, seed)
+	baselines, alones, err := mixBaselines(rc.engineOptions(seed), cfg, mixes)
+	if err != nil {
+		return fig10Meta{}, nil, err
+	}
+	meta := fig10Meta{Mixes: len(mixes)}
+	for _, b := range baselines {
+		meta.MixMPKIs = append(meta.MixMPKIs, b.mpki)
+	}
+	return meta, func(_ engine.TaskContext, jb fig10Job) (F10Point, error) {
+		return runPoint(cfg, seed, jb.mech, jb.hc, mixes, alones, baselines)
+	}, nil
 }
 
 // mixBaseline caches one mix's no-mitigation weighted speedup and MPKI.
@@ -304,17 +285,51 @@ type mixBaseline struct {
 	mpki float64
 }
 
+// mixBaselines runs every mix's single-core alone IPCs and
+// no-mitigation weighted speedup, fanned out over the engine.
+func mixBaselines(eo engine.Options, cfg sim.Config, mixes []trace.Mix) ([]mixBaseline, [][]float64, error) {
+	type mixResult struct {
+		alone []float64
+		base  mixBaseline
+	}
+	mixResults, err := engine.Map(eo, mixes, func(_ engine.TaskContext, mix trace.Mix) (mixResult, error) {
+		alone, err := sim.RunAlone(cfg, mix)
+		if err != nil {
+			return mixResult{}, err
+		}
+		res, err := sim.Run(cfg, mix)
+		if err != nil {
+			return mixResult{}, err
+		}
+		ws, err := sim.WeightedSpeedup(res.IPC, alone)
+		if err != nil {
+			return mixResult{}, err
+		}
+		return mixResult{alone: alone, base: mixBaseline{ws: ws, mpki: res.MPKI}}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	baselines := make([]mixBaseline, len(mixes))
+	alones := make([][]float64, len(mixes))
+	for i, r := range mixResults {
+		baselines[i] = r.base
+		alones[i] = r.alone
+	}
+	return baselines, alones, nil
+}
+
 // runPoint evaluates one (mechanism, HCfirst) across all mixes; seed is
 // the spec's base seed.
 func runPoint(cfg sim.Config, seed uint64, id MechanismID, hc int,
 	mixes []trace.Mix, alones [][]float64, baselines []mixBaseline,
-) (*F10Point, error) {
+) (F10Point, error) {
 	var perfs, overheads []float64
 	viable := true
 	for i := range mixes {
 		mech, err := buildMechanism(id, cfg, hc, seed+uint64(i)*7919)
 		if err != nil {
-			return nil, err
+			return F10Point{}, err
 		}
 		if v, ok := mech.(mitigation.Viability); ok && !v.Viable() {
 			viable = false
@@ -323,16 +338,16 @@ func runPoint(cfg sim.Config, seed uint64, id MechanismID, hc int,
 		runCfg.Mechanism = mech
 		res, err := sim.Run(runCfg, mixes[i])
 		if err != nil {
-			return nil, fmt.Errorf("%s hc=%d mix=%s: %w", id, hc, mixes[i].Name, err)
+			return F10Point{}, fmt.Errorf("%s hc=%d mix=%s: %w", id, hc, mixes[i].Name, err)
 		}
 		ws, err := sim.WeightedSpeedup(res.IPC, alones[i])
 		if err != nil {
-			return nil, err
+			return F10Point{}, err
 		}
 		perfs = append(perfs, 100*ws/baselines[i].ws)
 		overheads = append(overheads, res.BandwidthOverheadPct)
 	}
-	pt := &F10Point{Mechanism: id, HCFirst: hc, Viable: viable}
+	pt := F10Point{Mechanism: id, HCFirst: hc, Viable: viable}
 	pt.NormPerf = stats.Mean(perfs)
 	pt.NormPerfMin, _ = stats.Min(perfs)
 	pt.NormPerfMax, _ = stats.Max(perfs)

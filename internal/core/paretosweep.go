@@ -1,321 +1,20 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"text/tabwriter"
 
 	"repro/internal/attack"
-	"repro/internal/dram"
 	"repro/internal/engine"
-	"repro/internal/faultmodel"
-	"repro/internal/mitigation"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// This file is the shared sweep core behind the system-level evaluation
-// experiments. fig10 (benign overhead), attack (security under attack)
-// and pareto (the combined frontier) are all two-phase experiments — a
-// baseline phase followed by a grid fanned out over the deterministic
-// engine — and they share the machinery here: scheduler selection, the
-// benign baseline, per-mix baselines, and the single-cell attack runner
-// every grid point funnels through.
-
-// SchedulerID names a memory-controller scheduling policy of the sweep's
-// scheduler axis.
-type SchedulerID string
-
-const (
-	// SchedFRFCFS is the paper's baseline first-ready FCFS scheduler.
-	SchedFRFCFS SchedulerID = "FR-FCFS"
-	// SchedBLISS is the fairness-aware variant: per-requester service
-	// streak counters blacklist a requester that monopolizes consecutive
-	// read service, demoting (never blocking) its requests until the next
-	// clearing interval.
-	SchedBLISS SchedulerID = "BLISS"
-)
-
-// Schedulers lists the scheduler axis in evaluation order.
-func Schedulers() []SchedulerID { return []SchedulerID{SchedFRFCFS, SchedBLISS} }
-
-// applyScheduler configures a simulation for the scheduling policy.
-// streak and clear parameterize BLISS (0 keeps the controller defaults:
-// streak 4, clearing interval 10k cycles) and are ignored for FR-FCFS.
-func applyScheduler(cfg *sim.Config, id SchedulerID, streak int, clear int64) error {
-	switch id {
-	case "", SchedFRFCFS:
-		return nil
-	case SchedBLISS:
-		cfg.Ctrl.BLISS = true
-		cfg.Ctrl.BLISSStreak = streak
-		cfg.Ctrl.BLISSClearCycles = clear
-		return nil
-	default:
-		return fmt.Errorf("core: unknown scheduler %q", id)
-	}
-}
-
-// attackSimCfg builds the simulated system for a duration-terminated
-// adversarial run. rows 0 keeps the Table 6 geometry.
-func attackSimCfg(memCycles int64, rows int) sim.Config {
-	cfg := sim.Table6Config(0, 1)
-	if rows > 0 {
-		cfg.Geo.Rows = rows
-		cfg.T = dram.DDR4_2400(rows)
-	}
-	cfg.WarmupInsts = 0
-	cfg.MeasureInsts = 1 << 40 // duration-terminated: MaxCPUCycles decides
-	cfg.MaxCPUCycles = memCycles * int64(cfg.CPUFreqMHz) / int64(cfg.MemFreqMHz)
-	return cfg
-}
-
-// checkRows rejects a rows-per-bank override too small for an attack
-// stream at spec decode; 0 keeps the Table 6 geometry.
-func checkRows(exp string, rows int) error {
-	if rows > 0 && rows < attack.MinRows {
-		return fmt.Errorf("core: %s rows %d below the attack minimum of %d (0 keeps the Table 6 geometry)",
-			exp, rows, attack.MinRows)
-	}
-	return nil
-}
-
-// attackChip builds the victim chip for an HCfirst point: a DDR4-like
-// part spanning the simulated channel, blast radius 1. Without on-die ECC
-// escaped flips are directly attributable; with it (the LPDDR4-like
-// configuration) the observer reports post-correction escapes alongside
-// raw flips.
-func attackChip(cfg sim.Config, hc int, seed uint64, ecc bool) (*faultmodel.Chip, error) {
-	chip, err := faultmodel.NewChip(faultmodel.Config{
-		Name:         fmt.Sprintf("attacked-hc%d", hc),
-		Banks:        cfg.Geo.Banks(),
-		Rows:         cfg.Geo.Rows,
-		RowBits:      1024,
-		HCFirst:      float64(hc),
-		Rate150k:     5e-5,
-		WorstPattern: faultmodel.RowStripe0,
-		OnDieECC:     ecc,
-		Seed:         seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	chip.WriteAll(faultmodel.RowStripe0)
-	return chip, nil
-}
-
-// benignBaseline runs the benign cores alone — no attacker, no
-// mitigation, FR-FCFS — as the shared performance reference of the
-// adversarial sweeps.
-func benignBaseline(cfg sim.Config, cores, records int, seed uint64) (trace.Mix, []float64, *sim.Result, error) {
-	benign := trace.Mixes(1, cores, records, seed)[0]
-	benign.Name = "benign"
-	base, err := sim.Run(cfg, benign)
-	if err != nil {
-		return trace.Mix{}, nil, nil, fmt.Errorf("benign baseline: %w", err)
-	}
-	for i, v := range base.IPC {
-		if v <= 0 {
-			return trace.Mix{}, nil, nil, fmt.Errorf("benign baseline: core %d IPC is zero", i)
-		}
-	}
-	return benign, base.IPC, base, nil
-}
-
-// mixBaselines is phase 1 of the benign sweeps: every mix's single-core
-// alone IPCs and no-mitigation weighted speedup, fanned out over the
-// engine.
-func mixBaselines(eo engine.Options, cfg sim.Config, mixes []trace.Mix) ([]mixBaseline, [][]float64, error) {
-	type mixResult struct {
-		alone []float64
-		base  mixBaseline
-	}
-	mixResults, err := engine.Map(eo, mixes, func(_ engine.TaskContext, mix trace.Mix) (mixResult, error) {
-		alone, err := sim.RunAlone(cfg, mix)
-		if err != nil {
-			return mixResult{}, err
-		}
-		res, err := sim.Run(cfg, mix)
-		if err != nil {
-			return mixResult{}, err
-		}
-		ws, err := sim.WeightedSpeedup(res.IPC, alone)
-		if err != nil {
-			return mixResult{}, err
-		}
-		return mixResult{alone: alone, base: mixBaseline{ws: ws, mpki: res.MPKI}}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	baselines := make([]mixBaseline, len(mixes))
-	alones := make([][]float64, len(mixes))
-	for i, r := range mixResults {
-		baselines[i] = r.base
-		alones[i] = r.alone
-	}
-	return baselines, alones, nil
-}
-
-// sweepCell is one grid point of an adversarial sweep: a mechanism and
-// scheduler facing one attack pattern at one HCfirst. An empty Pattern
-// marks a benign-only cell (the mechanism's overhead with no attacker in
-// the system). streamSeed derives from (pattern, HCfirst) only — never
-// the mechanism or scheduler — so every contender at a grid point faces
-// the same chip (same weakest cell, same thresholds) and the same
-// attacker stream; anything else would confound the comparison.
-type sweepCell struct {
-	Mech    MechanismID
-	Sched   SchedulerID
-	Pattern attack.Kind
-	HC      int
-	// blissStreak / blissClear parameterize the BLISS scheduler for this
-	// cell (0 = controller defaults); the Pareto sweep can take them as
-	// grid axes.
-	blissStreak int
-	blissClear  int64
-	streamSeed  uint64
-	// duty / phase override the shared attack spec's pacing for this cell
-	// (the trr-dodge grid takes them as axes); duty 0 keeps the shared
-	// cellOptions.Spec values (full rate unless the spec paces).
-	duty, phase float64
-	// trr, when non-nil, builds the cell's mechanism as a TRR sampler
-	// with this configuration instead of going through buildMechanism —
-	// the trr-dodge grid's sampler rate/table-size axes.
-	trr *mitigation.TRRConfig
-}
-
-// cellOptions carries the system-shape knobs runSweepCell needs; the
-// attack, pareto and trr-dodge params all reduce to it.
-type cellOptions struct {
-	MemCycles     int64
-	AttackRecords int
-	ECC           bool
-	Spec          attack.Spec // Kind/Records/Seed overridden per cell
-}
-
-// runSweepCell runs one grid point: a mixed attacker+benign simulation
-// (or a benign-only one for an empty Pattern) under the cell's mechanism
-// and scheduler, reporting security and performance together. mechSeed is
-// the per-task seed for mechanism-internal randomness.
-func runSweepCell(cfg sim.Config, o cellOptions, cell sweepCell,
-	benign trace.Mix, baseIPC []float64, mechSeed uint64,
-) (*AttackPoint, error) {
-	pt, _, _, err := runSweepCellObs(cfg, o, cell, benign, baseIPC, mechSeed)
-	return pt, err
-}
-
-// runSweepCellObs is runSweepCell exposing the run's observer and
-// mechanism, for grids (trr-dodge) whose cell payload carries per-REF
-// timeline evidence and mechanism-internal counters. The observer is nil
-// for benign-only cells.
-func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
-	benign trace.Mix, baseIPC []float64, mechSeed uint64,
-) (*AttackPoint, *attack.Observer, mitigation.Mechanism, error) {
-	if err := applyScheduler(&cfg, cell.Sched, cell.blissStreak, cell.blissClear); err != nil {
-		return nil, nil, nil, err
-	}
-	var mech mitigation.Mechanism
-	var err error
-	if cell.trr != nil {
-		mech, err = mitigation.NewTRRWithConfig(cfg.MitigationParams(cell.HC, mechSeed^0x3eca), *cell.trr)
-	} else {
-		mech, err = buildMechanism(cell.Mech, cfg, cell.HC, mechSeed^0x3eca)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	mix := trace.Mix{Name: "benign-only"}
-	var obs *attack.Observer
-	if cell.Pattern != "" {
-		chip, err := attackChip(cfg, cell.HC, cell.streamSeed, o.ECC)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// The attacker has profiled the chip (the strong threat model of
-		// Section 6): aim at the weakest cell's row.
-		weak := chip.WeakestCell()
-		spec := o.Spec
-		spec.Kind = cell.Pattern
-		spec.Records = o.AttackRecords
-		spec.Seed = cell.streamSeed ^ 0xdec0
-		if cell.duty > 0 {
-			spec.DutyCycle = cell.duty
-			spec.Phase = cell.phase
-		}
-		attackTrace, aggressors, err := spec.Synthesize(cfg.Geo, attack.Target{Bank: weak.Bank, Row: weak.Row})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		obs = attack.NewObserver(chip)
-		obs.WatchAggressors(aggressors)
-		mix.Name = "attack-" + string(cell.Pattern)
-		mix.Traces = append(mix.Traces, attackTrace)
-	}
-	mix.Traces = append(mix.Traces, benign.Traces...)
-
-	runCfg := cfg
-	runCfg.Mechanism = mech
-	if obs != nil {
-		runCfg.Observer = obs
-	}
-	res, err := sim.Run(runCfg, mix)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	pt := &AttackPoint{
-		Mechanism:           cell.Mech,
-		Scheduler:           cell.Sched,
-		Pattern:             cell.Pattern,
-		HCFirst:             cell.HC,
-		Viable:              true,
-		OverheadPct:         res.BandwidthOverheadPct,
-		ThrottleStallCycles: res.Ctrl.ThrottleStallCycles,
-		TimeToFirstFlipMS:   -1,
-	}
-	if v, ok := mech.(mitigation.Viability); ok {
-		pt.Viable = v.Viable()
-	}
-	if obs != nil {
-		pt.EscapedFlips = obs.EscapedFlips()
-		pt.RawFlips = obs.RawFlips()
-		pt.AggressorACTs = obs.AggressorACTs()
-		if c := obs.FirstFlipCycle(); c >= 0 {
-			pt.TimeToFirstFlipMS = float64(c) * float64(cfg.T.TCKPS) * 1e-9
-		}
-		if secs := float64(o.MemCycles) * float64(cfg.T.TCKPS) * 1e-12; secs > 0 {
-			pt.AggACTsPerSec = float64(obs.AggressorACTs()) / secs
-		}
-		// DoS attribution: the attacker sits at core 0 of the mix, so its
-		// per-requester bus-busy share is the fraction of demand DRAM
-		// service the attack consumed.
-		pt.AttackerBusPct = res.Ctrl.BusSharePct(0)
-	}
-	// Benign performance: weighted speedup of the benign cores against
-	// their unattacked, unmitigated baseline. In an attack cell the benign
-	// cores sit at positions 1..N behind the attacker; in a benign-only
-	// cell they are the whole mix. An attacker-only run (trr-dodge with
-	// BenignCores 0) has no benign side to measure: -1.
-	if len(baseIPC) == 0 {
-		pt.BenignPerfPct = -1
-		return pt, obs, mech, nil
-	}
-	off := 0
-	if cell.Pattern != "" {
-		off = 1
-	}
-	ws := 0.0
-	for i, b := range baseIPC {
-		ws += res.IPC[i+off] / b
-	}
-	pt.BenignPerfPct = 100 * ws / float64(len(baseIPC))
-	return pt, obs, mech, nil
-}
-
-// --- Pareto sweep --------------------------------------------------------
+// The pareto experiment is the combined security/overhead frontier: a
+// (mechanism × scheduler × HCfirst) grid where each point runs once per
+// attack pattern plus once with no attacker. It runs on the adversarial
+// set-up in sweep.go and folds each point's cells into one worst-case
+// frontier point per HCfirst.
 
 // ParetoPoint is one (mechanism, scheduler, HCfirst) frontier candidate,
 // aggregated across attack patterns.
@@ -395,28 +94,12 @@ type ParetoParams struct {
 	BLISSClears  []int64 `json:"bliss_clears,omitempty"`
 }
 
-// Validate rejects axis values the grid cannot distinguish from the
-// defaults (labels would collide into duplicate task keys), attack
-// pacing outside its [0,1) domain, non-positive HCfirst points and
-// negative counts.
+// Validate rejects axis values the grid cannot distinguish (repeated
+// values, or labels that collide with the defaults: duplicate task
+// keys), unknown mechanism, scheduler and pattern names, attack pacing
+// outside its [0,1) domain, non-positive HCfirst points and BLISS axis
+// values, and negative counts.
 func (p *ParetoParams) Validate() error {
-	if p.Attack != nil {
-		if err := p.Attack.Validate(); err != nil {
-			return err
-		}
-	}
-	if err := checkHCSweep("pareto", p.HCSweep); err != nil {
-		return err
-	}
-	if err := checkCounts("pareto",
-		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
-		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
-		countParam{"attack_records", int64(p.AttackRecords)}); err != nil {
-		return err
-	}
-	if err := checkRows("pareto", p.Rows); err != nil {
-		return err
-	}
 	for _, s := range p.BLISSStreaks {
 		if s <= 0 {
 			return fmt.Errorf("core: pareto bliss_streaks value %d not positive (omit the field for the controller default)", s)
@@ -427,7 +110,17 @@ func (p *ParetoParams) Validate() error {
 			return fmt.Errorf("core: pareto bliss_clears value %d not positive (omit the field for the controller default)", c)
 		}
 	}
-	return nil
+	keys, _ := paretoGrid(p.normalized(), 0)
+	return errors.Join(p.system().validate(), checkHCSweep("pareto", p.HCSweep),
+		checkNames("pareto", "mechanisms", p.Mechanisms, knownMechanism),
+		checkNames("pareto", "schedulers", p.Schedulers, knownScheduler),
+		checkNames("pareto", "patterns", p.Patterns, knownPattern),
+		uniqueKeys("pareto", keys))
+}
+
+// system maps the params onto the shared adversarial set-up.
+func (p ParetoParams) system() sweepSystem {
+	return sweepSystem{"pareto", p.BenignCores, p.TraceRecords, p.Rows, p.AttackRecords, p.MemCycles, p.ECC, p.Attack}
 }
 
 func (p ParetoParams) normalized() ParetoParams {
@@ -541,72 +234,17 @@ func (p ParetoPoint) SchedulerLabel() string {
 }
 
 func init() {
-	register(&experiment{
-		name:        "pareto",
-		description: "Pareto sweep: worst-case security vs benign overhead per (mechanism × scheduler × HCfirst)",
-		params:      func() any { return &ParetoParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p ParetoParams
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
-			cfg := attackSimCfg(p.MemCycles, p.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
-			if err != nil {
-				return nil, err
-			}
-			// Every grid point runs one mixed attacker+benign simulation
-			// per attack pattern plus one attacker-free run; finalize
-			// folds them into worst-case frontier points per HCfirst.
-			keys, cells := paretoGrid(p, rc.spec.Seed)
-			co := cellOptions{
-				MemCycles:     p.MemCycles,
-				AttackRecords: p.AttackRecords,
-				ECC:           p.ECC,
-			}
-			if p.Attack != nil {
-				co.Spec = *p.Attack
-			}
-			meta := sweepMeta{
-				MemCycles: p.MemCycles,
-				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
-				ECC:       p.ECC,
-			}
-			return gridResult(rc, meta, keys, cells,
-				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
-					pt, err := runSweepCell(cfg, co, cell, benign, baseIPC, ctx.Seed)
-					if err != nil {
-						return AttackPoint{}, fmt.Errorf("%s/%s/%s hc=%d: %w",
-							cell.Mech, cell.Sched, cell.Pattern, cell.HC, err)
-					}
-					return *pt, nil
-				})
-		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p ParetoParams
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
-			var meta sweepMeta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: pareto meta: %w", err)
-			}
-			keys, cells := paretoGrid(p, res.Spec.Seed)
-			results, err := cellsInOrder[AttackPoint](res, keys)
-			if err != nil {
-				return nil, err
-			}
-			return finalizePareto(p, meta, cells, results), nil
-		},
-	})
+	// Every grid point runs one mixed attacker+benign simulation per
+	// attack pattern plus one attacker-free run; finalizePareto folds them
+	// into worst-case frontier points per HCfirst.
+	simExperiment("pareto",
+		"Pareto sweep: worst-case security vs benign overhead per (mechanism × scheduler × HCfirst)",
+		paretoGrid, sweepSetup(ParetoParams.system, (*sweepRig).attackPoint), finalizePareto)
 }
 
 // finalizePareto aggregates each grid point's pattern block (worst case)
 // plus its benign-only run into frontier points.
-func finalizePareto(p ParetoParams, meta sweepMeta, cells []sweepCell, results []AttackPoint) *ParetoSweep {
+func finalizePareto(p ParetoParams, meta sweepMeta, cells []sweepCell, results []AttackPoint) Artifact {
 	sweep := &ParetoSweep{
 		Patterns:  p.Patterns,
 		MemCycles: meta.MemCycles,

@@ -137,9 +137,6 @@ func (rc *runCtx) engineOptions(seed uint64) engine.Options {
 	return engine.Options{Workers: rc.exec.Parallelism, Seed: seed, Context: rc.ctx}
 }
 
-// decode strictly decodes the spec's params into the given struct.
-func (rc *runCtx) decode(into any) error { return decodeParams(rc.spec.Params, into) }
-
 // Run executes a spec's shard of its experiment with default execution
 // options. Run, RunWith and RunContext are the only ways to run an
 // experiment; every CLI, the service and the Go API go through them.
@@ -341,12 +338,8 @@ func gridResult[T, C any](rc *runCtx, meta any, keys []string, items []T,
 	if len(keys) != len(items) {
 		return nil, fmt.Errorf("core: %s: %d keys for %d tasks", rc.spec.Name, len(keys), len(items))
 	}
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			return nil, fmt.Errorf("core: %s: duplicate task key %q", rc.spec.Name, k)
-		}
-		seen[k] = true
+	if err := uniqueKeys(rc.spec.Name, keys); err != nil {
+		return nil, err
 	}
 	var mine []int
 	for i, k := range keys {
@@ -382,6 +375,76 @@ func gridResult[T, C any](rc *runCtx, meta any, keys []string, items []T,
 		res.Meta = raw
 	}
 	return res, nil
+}
+
+// uniqueKeys rejects a grid with a repeated task key: two tasks would
+// share one cell. gridResult checks every grid before it runs; a params
+// Validate checks its own at spec decode, so repeated axis values fail
+// before a run starts.
+func uniqueKeys(exp string, keys []string) error {
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		if seen[k] {
+			return fmt.Errorf("core: %s: duplicate task key %q (a params axis repeats a value)", exp, k)
+		}
+		seen[k] = true
+	}
+	return nil
+}
+
+// cellFunc computes one grid task's cell payload.
+type cellFunc[T, C any] func(ctx engine.TaskContext, task T) (C, error)
+
+// simExperiment wires one simulation experiment into the registry: the
+// simulation-side twin of charExperiment. Run and finalize decode and
+// normalize the params once and enumerate the grid from them. On run,
+// setup is phase 1: it returns the shard-invariant meta every shard
+// computes identically, and the cell function the grid fans out over.
+// On finalize, fold gets the decoded meta and the grid's tasks with
+// their typed cells, in grid order.
+func simExperiment[P interface{ normalized() P }, M, T, C any](name, desc string,
+	grid func(p P, seed uint64) (keys []string, tasks []T),
+	setup func(rc *runCtx, p P) (M, cellFunc[T, C], error),
+	fold func(p P, meta M, tasks []T, cells []C) Artifact,
+) {
+	decode := func(spec ExperimentSpec) (P, error) {
+		var p P
+		err := decodeParams(spec.Params, &p)
+		return p.normalized(), err
+	}
+	register(&experiment{
+		name:        name,
+		description: desc,
+		params:      func() any { return new(P) },
+		run: func(rc *runCtx) (*Result, error) {
+			p, err := decode(rc.spec)
+			if err != nil {
+				return nil, err
+			}
+			meta, cell, err := setup(rc, p)
+			if err != nil {
+				return nil, fmt.Errorf("core: %s: %w", name, err)
+			}
+			keys, tasks := grid(p, rc.spec.Seed)
+			return gridResult(rc, meta, keys, tasks, cell)
+		},
+		finalize: func(res *Result) (Artifact, error) {
+			p, err := decode(res.Spec)
+			if err != nil {
+				return nil, err
+			}
+			var meta M
+			if err := json.Unmarshal(res.Meta, &meta); err != nil {
+				return nil, fmt.Errorf("core: %s meta: %w", name, err)
+			}
+			keys, tasks := grid(p, res.Spec.Seed)
+			cells, err := cellsInOrder[C](res, keys)
+			if err != nil {
+				return nil, err
+			}
+			return fold(p, meta, tasks, cells), nil
+		},
+	})
 }
 
 // cellsInOrder decodes the cells for an ordered key list into typed

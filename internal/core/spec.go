@@ -310,6 +310,17 @@ func checkHCSweep(exp string, hc []int) error {
 	return nil
 }
 
+// checkNames rejects the first value of a params axis that known does
+// not accept, naming the axis by its JSON key.
+func checkNames[T ~string](exp, key string, vals []T, known func(T) bool) error {
+	for _, v := range vals {
+		if !known(v) {
+			return fmt.Errorf("core: %s %s: unknown value %q", exp, key, v)
+		}
+	}
+	return nil
+}
+
 // countParam is one count-valued parameter, by its JSON key.
 type countParam struct {
 	key string

@@ -149,6 +149,21 @@ func TestAttackPacingSpecValidation(t *testing.T) {
 		{`{"name":"pareto","params":{"attack":{"phase":-0.5}}}`, "phase"},
 		// Phase without duty_cycle would be a silent no-op: rejected too.
 		{`{"name":"attack","params":{"attack":{"phase":0.5}}}`, "phase"},
+		// Names the cell builders do not know, and axes whose grid repeats
+		// a task key, used to pass decode and fail inside task 0.
+		{`{"name":"fig10","params":{"mechanisms":["Bogus"]}}`, "mechanisms"},
+		{`{"name":"attack","params":{"mechanisms":["PARA","Bogus"]}}`, "mechanisms"},
+		{`{"name":"pareto","params":{"mechanisms":["Bogus"]}}`, "mechanisms"},
+		{`{"name":"attack","params":{"scheduler":"LIFO"}}`, "scheduler"},
+		{`{"name":"pareto","params":{"schedulers":["FR-FCFS","LIFO"]}}`, "schedulers"},
+		{`{"name":"attack","params":{"patterns":["nope"]}}`, "patterns"},
+		{`{"name":"pareto","params":{"patterns":["double-sided","nope"]}}`, "patterns"},
+		{`{"name":"fig10","params":{"mechanisms":["PARA","PARA"]}}`, "duplicate task key"},
+		{`{"name":"fig10","params":{"hc":[2000,2000]}}`, "duplicate task key"},
+		{`{"name":"attack","params":{"hc":[512,512]}}`, "duplicate task key"},
+		{`{"name":"attack","params":{"patterns":["decoy","decoy"]}}`, "duplicate task key"},
+		{`{"name":"pareto","params":{"bliss_streaks":[8,8]}}`, "duplicate task key"},
+		{`{"name":"pareto","params":{"schedulers":["","FR-FCFS"]}}`, "duplicate task key"},
 	}
 	for _, b := range bad {
 		if _, err := DecodeSpec([]byte(b.spec)); err == nil || !strings.Contains(err.Error(), b.want) {
@@ -161,6 +176,8 @@ func TestAttackPacingSpecValidation(t *testing.T) {
 		`{"name":"fig10","params":{"mixes":0,"hc":[2000,256]}}`,
 		`{"name":"attack","params":{"rows":0,"benign_cores":0,"hc":[512]}}`,
 		`{"name":"attack","params":{"rows":16}}`,
+		`{"name":"attack","params":{"scheduler":"BLISS","mechanisms":["TRR","BlockHammer-binary"],"patterns":["scattered"]}}`,
+		`{"name":"pareto","params":{"schedulers":["BLISS"],"bliss_streaks":[4,8],"bliss_clears":[5000]}}`,
 		`{"name":"pareto","params":{"rows":17}}`,
 		`{"name":"table5","params":{"scale":"tiny","modules":"lpddr4","chips":-1,"stride":0,"iterations":0}}`,
 	} {

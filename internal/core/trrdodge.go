@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -10,8 +10,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/engine"
 	"repro/internal/mitigation"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // The trr-dodge experiment is the ROADMAP's duty-cycle security study:
@@ -26,7 +24,11 @@ import (
 // evidence — aggressor activity per refresh interval and how little of
 // it the sampler ever observed. Duty cycle 0 is the full-rate baseline
 // every paced point is compared against: the dodge is demonstrated when
-// a paced attack escapes flips that full-rate hammering cannot.
+// a paced attack escapes flips that full-rate hammering cannot. Its
+// cells run on the adversarial set-up in sweep.go, attacker-only by
+// default, with the sampler configuration and pacing carried in each
+// sweepCell; dodgePoint adds the observer's timeline and the sampler's
+// counters to the attack outcome.
 
 // TRRDodgeParams is the declarative parameter block of the trr-dodge
 // experiment. All slice axes default to the values in
@@ -85,7 +87,8 @@ func DefaultTRRDodgeParams() TRRDodgeParams {
 
 // Validate rejects out-of-domain axis values at spec decode: duty cycles
 // and phases outside [0,1), sample rates outside (0,1], non-positive
-// table sizes, a negative HCfirst, negative counts and a rows override
+// table sizes, a negative HCfirst, unknown pattern names, repeated axis
+// values (duplicate task keys), negative counts and a rows override
 // below attack.MinRows.
 func (p *TRRDodgeParams) Validate() error {
 	for _, d := range p.DutyCycles {
@@ -111,13 +114,16 @@ func (p *TRRDodgeParams) Validate() error {
 	if p.HCFirst < 0 {
 		return fmt.Errorf("core: trr-dodge hc %d must not be negative", p.HCFirst)
 	}
-	if err := checkCounts("trr-dodge",
-		countParam{"benign_cores", int64(p.BenignCores)}, countParam{"trace_records", int64(p.TraceRecords)},
-		countParam{"mem_cycles", p.MemCycles}, countParam{"rows", int64(p.Rows)},
-		countParam{"attack_records", int64(p.AttackRecords)}); err != nil {
-		return err
-	}
-	return checkRows("trr-dodge", p.Rows)
+	keys, _ := trrDodgeGrid(p.normalized(), 0)
+	return errors.Join(p.system().validate(),
+		checkNames("trr-dodge", "patterns", p.Patterns, knownPattern),
+		uniqueKeys("trr-dodge", keys))
+}
+
+// system maps the params onto the shared adversarial set-up; trr-dodge
+// streams are paced per cell, never by the params.
+func (p TRRDodgeParams) system() sweepSystem {
+	return sweepSystem{"trr-dodge", p.BenignCores, p.TraceRecords, p.Rows, p.AttackRecords, p.MemCycles, p.ECC, nil}
 }
 
 func (p TRRDodgeParams) normalized() TRRDodgeParams {
@@ -205,14 +211,6 @@ type TRRDodge struct {
 // shortest-round-trip form so keys are stable and readable.
 func fmtAxis(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// dodgeCell is one trr-dodge task: a sweepCell plus the sampler
-// configuration echoed into the payload.
-type dodgeCell struct {
-	cell sweepCell
-	rate float64
-	tbl  int
-}
-
 // trrDodgeGrid enumerates the (sampler × pattern × pacing) grid. The
 // full-rate baseline (duty 0) appears once per (sampler, pattern) point
 // — the phase axis only multiplies paced cells. The stream seed (and
@@ -220,16 +218,13 @@ type dodgeCell struct {
 // position in the axis, so every sampler configuration and every pacing
 // faces the same chip and the same base access stream for a given
 // pattern — across runs with differently composed pattern lists too.
-func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []dodgeCell) {
+func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []sweepCell) {
 	add := func(rate float64, tbl int, pat attack.Kind, duty, phase float64) {
-		cells = append(cells, dodgeCell{
-			cell: sweepCell{
-				Mech: MechTRR, Sched: SchedFRFCFS, Pattern: pat, HC: p.HCFirst,
-				duty: duty, phase: phase,
-				trr:        &mitigation.TRRConfig{SampleRate: rate, TableSize: tbl},
-				streamSeed: engine.DeriveSeed(seed^0xd0d9e, keyHash(string(pat))),
-			},
-			rate: rate, tbl: tbl,
+		cells = append(cells, sweepCell{
+			Mech: MechTRR, Sched: SchedFRFCFS, Pattern: pat, HC: p.HCFirst,
+			duty: duty, phase: phase,
+			trr:        &mitigation.TRRConfig{SampleRate: rate, TableSize: tbl},
+			streamSeed: engine.DeriveSeed(seed^0xd0d9e, keyHash(string(pat))),
 		})
 		keys = append(keys, fmt.Sprintf("rate=%s/table=%d/pat=%s/duty=%s/phase=%s",
 			fmtAxis(rate), tbl, pat, fmtAxis(duty), fmtAxis(phase)))
@@ -252,112 +247,65 @@ func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []dodgeCe
 	return keys, cells
 }
 
+// dodgePoint is the trr-dodge cell function: the attack outcome plus the
+// observer's per-REF timeline and the sampler's effort counters.
+func (r *sweepRig) dodgePoint(ctx engine.TaskContext, cell sweepCell) (DodgePoint, error) {
+	pt, obs, mech, err := r.run(cell, ctx.Seed)
+	if err != nil {
+		return DodgePoint{}, err
+	}
+	dp := DodgePoint{
+		Pattern:           cell.Pattern,
+		DutyCycle:         cell.duty,
+		Phase:             cell.phase,
+		SampleRate:        cell.trr.SampleRate,
+		TableSize:         cell.trr.TableSize,
+		HCFirst:           cell.HC,
+		EscapedFlips:      pt.EscapedFlips,
+		RawFlips:          pt.RawFlips,
+		TimeToFirstFlipMS: pt.TimeToFirstFlipMS,
+		AggressorACTs:     pt.AggressorACTs,
+		AggACTsPerSec:     pt.AggACTsPerSec,
+		BenignPerfPct:     pt.BenignPerfPct,
+		OverheadPct:       pt.OverheadPct,
+	}
+	if obs != nil {
+		var agg, max int64
+		for _, w := range obs.Timeline() {
+			agg += w.AggressorACTs
+			if w.AggressorACTs > max {
+				max = w.AggressorACTs
+			}
+			if w.Flips > 0 {
+				dp.FlipWindows++
+			}
+		}
+		dp.REFWindows = len(obs.Timeline())
+		dp.MaxWindowAggACTs = max
+		if dp.REFWindows > 0 {
+			dp.MeanWindowAggACTs = float64(agg) / float64(dp.REFWindows)
+		}
+	}
+	if trr, ok := mech.(*mitigation.TRR); ok {
+		dp.SamplerSamples = trr.Samples()
+		dp.SamplerRefreshes = trr.VictimRefreshes()
+	}
+	return dp, nil
+}
+
 func init() {
-	register(&experiment{
-		name:        "trr-dodge",
-		description: "TRR dodge study: duty-cycle/phase-paced attacks vs an in-DRAM sampling TRR (sampler × pattern × pacing)",
-		params:      func() any { return &TRRDodgeParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p TRRDodgeParams
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
-			cfg := attackSimCfg(p.MemCycles, p.Rows)
-			benign := trace.Mix{Name: "benign"}
-			var baseIPC []float64
-			benignDesc := "attacker only"
-			if p.BenignCores > 0 {
-				var base *sim.Result
-				var err error
-				benign, baseIPC, base, err = benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("trr-dodge %w", err)
-				}
-				benignDesc = fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI)
-			}
-			keys, cells := trrDodgeGrid(p, rc.spec.Seed)
-			co := cellOptions{
-				MemCycles:     p.MemCycles,
-				AttackRecords: p.AttackRecords,
-				ECC:           p.ECC,
-			}
-			meta := sweepMeta{
-				MemCycles: p.MemCycles,
-				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    benignDesc,
-				ECC:       p.ECC,
-			}
-			return gridResult(rc, meta, keys, cells,
-				func(ctx engine.TaskContext, dc dodgeCell) (DodgePoint, error) {
-					pt, obs, mech, err := runSweepCellObs(cfg, co, dc.cell, benign, baseIPC, ctx.Seed)
-					if err != nil {
-						return DodgePoint{}, fmt.Errorf("%s duty=%s phase=%s: %w",
-							dc.cell.Pattern, fmtAxis(dc.cell.duty), fmtAxis(dc.cell.phase), err)
-					}
-					dp := DodgePoint{
-						Pattern:           dc.cell.Pattern,
-						DutyCycle:         dc.cell.duty,
-						Phase:             dc.cell.phase,
-						SampleRate:        dc.rate,
-						TableSize:         dc.tbl,
-						HCFirst:           dc.cell.HC,
-						EscapedFlips:      pt.EscapedFlips,
-						RawFlips:          pt.RawFlips,
-						TimeToFirstFlipMS: pt.TimeToFirstFlipMS,
-						AggressorACTs:     pt.AggressorACTs,
-						AggACTsPerSec:     pt.AggACTsPerSec,
-						BenignPerfPct:     pt.BenignPerfPct,
-						OverheadPct:       pt.OverheadPct,
-					}
-					if obs != nil {
-						var agg, max int64
-						for _, w := range obs.Timeline() {
-							agg += w.AggressorACTs
-							if w.AggressorACTs > max {
-								max = w.AggressorACTs
-							}
-							if w.Flips > 0 {
-								dp.FlipWindows++
-							}
-						}
-						dp.REFWindows = len(obs.Timeline())
-						dp.MaxWindowAggACTs = max
-						if dp.REFWindows > 0 {
-							dp.MeanWindowAggACTs = float64(agg) / float64(dp.REFWindows)
-						}
-					}
-					if trr, ok := mech.(*mitigation.TRR); ok {
-						dp.SamplerSamples = trr.Samples()
-						dp.SamplerRefreshes = trr.VictimRefreshes()
-					}
-					return dp, nil
-				})
-		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p TRRDodgeParams
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
-			var meta sweepMeta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: trr-dodge meta: %w", err)
-			}
-			keys, _ := trrDodgeGrid(p, res.Spec.Seed)
-			points, err := cellsInOrder[DodgePoint](res, keys)
-			if err != nil {
-				return nil, err
-			}
+	simExperiment("trr-dodge",
+		"TRR dodge study: duty-cycle/phase-paced attacks vs an in-DRAM sampling TRR (sampler × pattern × pacing)",
+		trrDodgeGrid, sweepSetup(TRRDodgeParams.system, (*sweepRig).dodgePoint),
+		func(_ TRRDodgeParams, meta sweepMeta, _ []sweepCell, points []DodgePoint) Artifact {
 			return &TRRDodge{
 				Points:    points,
 				MemCycles: meta.MemCycles,
 				WallMS:    meta.WallMS,
 				Benign:    meta.Benign,
 				ECC:       meta.ECC,
-			}, nil
-		},
-	})
+			}
+		})
 }
 
 // samplerKey groups points by sampler configuration and pattern for the

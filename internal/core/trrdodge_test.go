@@ -83,6 +83,10 @@ func TestTRRDodgeValidation(t *testing.T) {
 		{`{"name":"trr-dodge","params":{"rows":15}}`, "rows"},
 		{`{"name":"trr-dodge","params":{"attack_records":-1}}`, "attack_records"},
 		{`{"name":"trr-dodge","params":{"tabel_sizes":[4]}}`, "params"},
+		{`{"name":"trr-dodge","params":{"patterns":["nope"]}}`, "patterns"},
+		{`{"name":"trr-dodge","params":{"duty_cycles":[0,0]}}`, "duplicate task key"},
+		{`{"name":"trr-dodge","params":{"duty_cycles":[0.25],"phases":[0.5,0.5]}}`, "duplicate task key"},
+		{`{"name":"trr-dodge","params":{"sample_rates":[0.5,0.5]}}`, "duplicate task key"},
 	}
 	for _, b := range bad {
 		if _, err := DecodeSpec([]byte(b.spec)); err == nil || !strings.Contains(err.Error(), b.want) {

@@ -12,14 +12,16 @@
 //
 // The queues are indexed per bank (see queue.go) with incrementally
 // maintained row-hit chains, so the per-cycle FR-FCFS scans cost
-// O(banks-with-work) instead of O(queue). The original linear scans are
-// kept verbatim in reference.go behind the refScan switch; the
-// randomized scheduler-equivalence test certifies both paths produce
-// bit-identical command streams and statistics.
+// O(banks-with-work) instead of O(queue). The row-hit index is one
+// 64-bit bank mask, so New rejects geometries with more than 64 banks.
+// The original linear scans are kept verbatim in reference.go as a
+// test-only oracle: the randomized scheduler-equivalence test certifies
+// both paths produce bit-identical command streams and statistics.
 package memctrl
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 
 	"repro/internal/dram"
@@ -187,9 +189,9 @@ type Controller struct {
 
 	// refScan routes the scheduler scans through the original linear
 	// queue walks (reference.go) instead of the per-bank indexes. The two
-	// paths are bit-identical by construction; the equivalence property
-	// test drives them side by side. Forced on when the geometry exceeds
-	// the indexed scan's 64-bank failure bitmask.
+	// paths are bit-identical by construction; only tests set it, to
+	// drive them side by side (the equivalence property test and the
+	// reference Tick benchmark).
 	refScan bool
 
 	// issuingMitigation marks Issue calls made for mitigation ops so the
@@ -240,6 +242,9 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 	if cfg.ReadQueue <= 0 || cfg.WriteQueue <= 0 {
 		return nil, errors.New("memctrl: queue capacities must be positive")
 	}
+	if n := ch.Geo.Banks(); n > maxBanks {
+		return nil, fmt.Errorf("memctrl: %d banks exceed %d (the row-hit index is one 64-bit bank mask)", n, maxBanks)
+	}
 	mapper, err := dram.NewAddressMapper(ch.Geo)
 	if err != nil {
 		return nil, err
@@ -266,9 +271,6 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 	}
 	c.readQ.init(ch.Geo.Banks())
 	c.writeQ.init(ch.Geo.Banks())
-	if ch.Geo.Banks() > 64 {
-		c.refScan = true
-	}
 	if cfg.BLISS {
 		c.blissGen = 1
 		c.blissBlackGen = make([]uint64, maxTrackedRequesters)

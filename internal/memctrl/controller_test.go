@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -19,6 +20,29 @@ func testController(t *testing.T, mech mitigation.Mechanism) (*Controller, *dram
 		t.Fatal(err)
 	}
 	return ctrl, ch
+}
+
+// TestNewRejectsTooManyBanks pins the geometry limit: the row-hit index
+// is one 64-bit bank mask, and there is no slow fallback past it.
+func TestNewRejectsTooManyBanks(t *testing.T) {
+	for _, tc := range []struct {
+		groups int
+		ok     bool
+	}{{16, true}, {17, false}} {
+		geo := dram.Table6Geometry()
+		geo.BankGroups = tc.groups // 4 banks per group: 64, then 68 banks
+		ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := New(Table6Config(), ch, nil)
+		if tc.ok && (err != nil || ctrl.refScan) {
+			t.Errorf("%d banks: err = %v, refScan = %v; want the indexed controller", geo.Banks(), err, ctrl != nil && ctrl.refScan)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "banks")) {
+			t.Errorf("%d banks: err = %v, want a bank-count error", geo.Banks(), err)
+		}
+	}
 }
 
 func run(ctrl *Controller, cycles int) {

@@ -49,8 +49,11 @@ type reqQueue struct {
 	n          int
 	seq        uint64 // next arrival stamp
 	banks      []bankBucket
-	hitMask    uint64 // bit per bank with a non-empty hit chain (banks < 64)
+	hitMask    uint64 // bit per bank with a non-empty hit chain
 }
+
+// maxBanks is the widest geometry hitMask indexes; New rejects wider.
+const maxBanks = 64
 
 func (q *reqQueue) init(banks int) {
 	q.banks = make([]bankBucket, banks)

@@ -4,11 +4,11 @@ import "repro/internal/dram"
 
 // This file keeps the original O(queue) scheduler scans, walking the
 // queues in arrival order exactly as the pre-index controller did over
-// its flat slices. They are dispatched when Controller.refScan is set —
-// by the randomized scheduler-equivalence test, which drives an indexed
-// and a reference controller side by side and requires bit-identical
-// command streams, and as the fallback for geometries wider than the
-// indexed scan's 64-bank failure bitmask.
+// its flat slices. They are dispatched only when a test sets
+// Controller.refScan: the randomized scheduler-equivalence test, which
+// drives an indexed and a reference controller side by side and
+// requires bit-identical command streams, and the reference Tick
+// benchmark. Production controllers always run the indexed scans.
 
 // refScheduleRowHits is the reference first-ready scan: the first
 // eligible request in arrival order whose bank has its row open wins;

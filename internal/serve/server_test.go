@@ -180,6 +180,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"zero hcfirst", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
 		{"negative rows", `{"name": "attack", "params": {"rows": -1024}}`, http.StatusBadRequest},
 		{"unknown scale", `{"name":"fig5","params":{"scale":"huge"}}`, http.StatusBadRequest},
+		{"unknown mechanism", `{"name":"attack","params":{"mechanisms":["Bogus"]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
