@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
-// per artifact, DESIGN.md §5) plus the design-choice ablations of
-// DESIGN.md §6. Each iteration performs a complete, reduced-scale run of
-// the corresponding experiment; `rhx run` and `rhx report` run the same
-// code at full scale.
+// per artifact of EXPERIMENTS.md) plus design-choice ablations. Each
+// iteration performs a complete, reduced-scale run of the corresponding
+// experiment; `rhx run` and `rhx report` run the same code at full scale.
 package rowhammer_test
 
 import (
@@ -215,10 +214,10 @@ func BenchmarkTable6Baseline(b *testing.B) {
 
 // --- Engine stress shapes ---------------------------------------------------
 //
-// The full suite runs under both engines via scripts/bench.sh (RH_ENGINE
-// selects the driver); these two benchmarks are the sparse-trace shapes
-// the event engine exists for — long idle stretches the cycle engine
-// grinds through one cycle at a time.
+// These two benchmarks are the sparse-trace shapes the event engine
+// exists for — long idle stretches a cycle-by-cycle loop grinds through
+// one cycle at a time. BenchmarkEngine in internal/sim times the event
+// engine against that reference loop.
 
 // BenchmarkPacedAttackSparse is a duty-cycle paced attacker running alone
 // (the trr-dodge cell shape): burst of serialized flush+loads, then most
@@ -266,7 +265,7 @@ func BenchmarkSparseBenign(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---------------------------------------------
+// --- Ablations --------------------------------------------------------------
 
 func runAblatedSim(b *testing.B, mutate func(*sim.Config)) float64 {
 	b.Helper()

@@ -81,8 +81,8 @@ type Pass struct {
 
 // SuppressedAt reports whether an //rhlint:allow directive for this
 // pass's analyzer covers pos. The fact analyzers consult it so a
-// reasoned allow at a leaf site (an amortized append, the RH_ENGINE
-// read) stops the fact from propagating and poisoning every caller.
+// reasoned allow at a leaf site (an amortized append, a progress
+// timestamp) stops the fact from propagating and poisoning every caller.
 func (p *Pass) SuppressedAt(pos token.Pos) bool {
 	if p.dirs == nil {
 		return false

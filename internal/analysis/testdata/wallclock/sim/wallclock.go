@@ -33,9 +33,9 @@ func lookup() bool {
 	return ok
 }
 
-// engineVar: the documented RH_ENGINE entrypoint is allowlisted.
+// engineVar: no variable name is exempt.
 func engineVar() string {
-	return os.Getenv("RH_ENGINE")
+	return os.Getenv("RH_ENGINE") // want `os\.Getenv in simulation-visible package`
 }
 
 // seeded: explicit generators are the sanctioned pattern.

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -29,8 +28,7 @@ seed. time.Now/Since/Until, the package-level math/rand functions
 (rand.Intn, rand.Float64, ...), and os.Getenv/LookupEnv/Environ all read
 ambient process state — and so does any function that reaches one of
 them through helpers, which the Impure fact tracks across packages.
-Seeded generators (rand.New(rand.NewSource(s))) and the documented
-RH_ENGINE engine-selection variable are allowed.`,
+Seeded generators (rand.New(rand.NewSource(s))) are allowed.`,
 	Run:       runWallClock,
 	FactTypes: []Fact{(*Impure)(nil)},
 }
@@ -41,10 +39,6 @@ var seededRandConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,
 }
-
-// allowedEnvVars are the documented configuration entrypoints read once
-// at startup (sync.OnceValue), never per-task.
-var allowedEnvVars = map[string]bool{"RH_ENGINE": true}
 
 func runWallClock(pass *Pass) error {
 	computeImpureFacts(pass)
@@ -149,8 +143,8 @@ func mergeImpure(dst, src *Impure) {
 
 // directImpureCall classifies a call that itself performs an ambient
 // read, returning the impurity kind and a display name ("time.Now"),
-// or (nil, ""). Allowlisted reads (RH_ENGINE, seeded constructors,
-// methods on explicit generators) return nil.
+// or (nil, ""). Allowlisted reads (seeded constructors, methods on
+// explicit generators) return nil.
 func directImpureCall(info *types.Info, call *ast.CallExpr) (*Impure, string) {
 	obj := calleeFunc(info, call)
 	if obj == nil || obj.Pkg() == nil {
@@ -170,9 +164,6 @@ func directImpureCall(info *types.Info, call *ast.CallExpr) (*Impure, string) {
 	case "os":
 		switch name {
 		case "Getenv", "LookupEnv", "Environ":
-			if name != "Environ" && isAllowedEnvRead(info, call) {
-				return nil, ""
-			}
 			return &Impure{Getenv: true}, "os." + name
 		}
 	case "math/rand", "math/rand/v2":
@@ -196,21 +187,8 @@ func reportDirectImpure(pass *Pass, call *ast.CallExpr, kind *Impure, detail str
 	case kind.TimeNow:
 		pass.Reportf(call.Pos(), "%s in simulation-visible package %q: wall-clock time must not influence simulated state (thread cycles or a seeded source instead)", detail, pass.Pkg.Path())
 	case kind.Getenv:
-		pass.Reportf(call.Pos(), "%s in simulation-visible package %q: environment reads make runs machine-dependent (plumb configuration explicitly; RH_ENGINE is the one allowed entrypoint)", detail, pass.Pkg.Path())
+		pass.Reportf(call.Pos(), "%s in simulation-visible package %q: environment reads make runs machine-dependent (plumb configuration explicitly)", detail, pass.Pkg.Path())
 	case kind.GlobalRand:
 		pass.Reportf(call.Pos(), "global %s in simulation-visible package %q: the process-global generator is shared, unseeded state (use a per-task seeded generator)", detail, pass.Pkg.Path())
 	}
-}
-
-// isAllowedEnvRead reports whether the env read names an allowlisted
-// variable via a string constant.
-func isAllowedEnvRead(info *types.Info, call *ast.CallExpr) bool {
-	if len(call.Args) != 1 {
-		return false
-	}
-	tv, ok := info.Types[call.Args[0]]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return false
-	}
-	return allowedEnvVars[constant.StringVal(tv.Value)]
 }

@@ -192,7 +192,7 @@ func (a *ECCWordAnalysis) Multiplier(k int) (float64, bool) {
 // the chip's vulnerable-cell thresholds under its current pattern: the
 // k-th flip of a word appears when HC reaches the word's k-th smallest
 // effective threshold. (A sweep-based measurement converges to the same
-// values but needs thousands of sweeps; see DESIGN.md §5.)
+// values but needs thousands of sweeps; see EXPERIMENTS.md, Figure 9.)
 func (t *Tester) AnalyzeECCWords() *ECCWordAnalysis {
 	a := &ECCWordAnalysis{}
 	for k := 1; k <= 3; k++ {

@@ -1,7 +1,8 @@
 // Package core orchestrates the paper's experiments: it iterates chip
 // populations through the charact measurement primitives and the sim
 // mitigation harness, aggregates per-configuration statistics, and
-// formats each of the paper's tables and figures (DESIGN.md §5).
+// formats each of the paper's tables and figures (EXPERIMENTS.md compares
+// each with the paper).
 package core
 
 import (
@@ -9,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/chips"
+	"repro/internal/dram"
 	"repro/internal/faultmodel"
 )
 
@@ -120,8 +122,35 @@ func (p *CharParams) Validate() error {
 	if p.Chips < -1 {
 		return fmt.Errorf("core: chips %d must be -1 (every chip), 0 (the default cap) or positive", p.Chips)
 	}
+	if err := p.validateCustomScale(); err != nil {
+		return fmt.Errorf("core: custom_scale: %w", err)
+	}
 	return checkCounts("characterization",
 		countParam{"stride", int64(p.Stride)}, countParam{"iterations", int64(p.Iterations)})
+}
+
+// validateCustomScale checks an explicit geometry against the rules
+// faultmodel.NewChip applies to every chip of the module set, so a
+// geometry no chip can be built at fails at decode, not inside a task.
+// LPDDR4 chips add on-die ECC (128-bit row multiples) and, for Mfr B's
+// 1x node, paired wordlines (an even row count).
+func (p *CharParams) validateCustomScale() error {
+	sc := p.CustomScale
+	if sc == nil {
+		return nil
+	}
+	if sc.ChipsPerModule < 0 {
+		return fmt.Errorf("ChipsPerModule %d must not be negative (0 means every chip)", sc.ChipsPerModule)
+	}
+	cfg := faultmodel.Config{Banks: sc.Banks, Rows: sc.Rows, RowBits: sc.RowBits, HCFirst: 1}
+	for _, m := range moduleSets[p.Modules]() {
+		if m.Node.Type == dram.LPDDR4 {
+			cfg.OnDieECC = true
+			cfg.PairedWordlines = true
+			break
+		}
+	}
+	return cfg.Validate()
 }
 
 // scalesByName maps the predefined geometry names.

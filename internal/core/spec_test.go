@@ -353,11 +353,23 @@ func TestApplySetsRejectsLikeSpecFile(t *testing.T) {
 		{"fig5", "scale=huge", "unknown scale"},
 		{"fig5", "chips", "key=value"},
 		{"fig5", "=2", "key=value"},
+		// Geometries faultmodel.NewChip cannot build fail at decode.
+		{"fig5", `custom_scale={"Banks":1,"Rows":256,"RowBits":7}`, "custom_scale"},
+		{"fig5", `custom_scale={"Banks":1,"Rows":1,"RowBits":1024}`, "custom_scale"},
+		{"fig5", `custom_scale={"Banks":1,"Rows":-256,"RowBits":1024}`, "custom_scale"},
+		{"fig5", `custom_scale={"Banks":0,"Rows":256,"RowBits":1024}`, "custom_scale"},
+		{"table4", `custom_scale={"Banks":1,"Rows":256,"RowBits":1024,"ChipsPerModule":-1}`, "custom_scale"},
+		// The default module set includes on-die-ECC LPDDR4 chips.
+		{"fig5", `custom_scale={"Banks":1,"Rows":256,"RowBits":192}`, "custom_scale"},
 	} {
 		if _, err := ApplySets(mustSpec(t, bad.name, 1, nil), []string{bad.set}); err == nil ||
 			!strings.Contains(err.Error(), bad.want) {
 			t.Errorf("%s -set %s: error %v, want mention of %q", bad.name, bad.set, err, bad.want)
 		}
+	}
+	if _, err := ApplySets(mustSpec(t, "fig5", 1, nil),
+		[]string{"modules=ddr3", `custom_scale={"Banks":1,"Rows":256,"RowBits":192}`}); err != nil {
+		t.Errorf("a 64-bit-multiple row on a module set without on-die ECC was rejected: %v", err)
 	}
 	if _, err := ApplySets(mustSpec(t, "fig5", 1, nil), []string{"chips=1", "chips=2"}); err == nil {
 		t.Error("a key set twice was accepted (the flag order would pick the value)")

@@ -33,7 +33,11 @@ func TestNewChipValidation(t *testing.T) {
 	}{
 		{"zero banks", func(c *Config) { c.Banks = 0 }},
 		{"zero rows", func(c *Config) { c.Rows = 0 }},
+		{"one row", func(c *Config) { c.Rows = 1 }},
+		{"two rows", func(c *Config) { c.Rows = 2 }},
 		{"zero row bits", func(c *Config) { c.RowBits = 0 }},
+		{"row bits below a word", func(c *Config) { c.RowBits = 7 }},
+		{"row bits not word multiple", func(c *Config) { c.RowBits = 100 }},
 		{"zero hcfirst", func(c *Config) { c.HCFirst = 0 }},
 		{"bad pattern", func(c *Config) { c.WorstPattern = NumPatterns }},
 		{"ecc non-multiple", func(c *Config) { c.OnDieECC = true; c.RowBits = 100 }},

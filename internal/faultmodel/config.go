@@ -44,8 +44,8 @@ type Config struct {
 
 	// W3 and W5 are the aggressor coupling weights at odd wordline
 	// distances 3 and 5, relative to the distance-1 weight of 0.5
-	// (DESIGN.md §4). Zero means no coupling at that distance; newer
-	// nodes have a wider blast radius (Observation 6).
+	// (EXPERIMENTS.md, Figures 6/7). Zero means no coupling at that
+	// distance; newer nodes have a wider blast radius (Observation 6).
 	W3, W5 float64
 
 	// WorstPattern is the chip's worst-case data pattern (Table 3).
@@ -95,6 +95,11 @@ const (
 
 	// refHammers converts one hammer to the paper's reporting convention.
 	hcReportUnit = 1000.0
+
+	// minRows is the smallest bank NewChip can place its forced weakest
+	// cell in: an even row drawn from [0, Rows/2), moved to row 2 when
+	// the draw is row 0, so row 2 must exist.
+	minRows = 3
 )
 
 // normalized returns cfg with defaults applied.
@@ -122,10 +127,10 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Banks <= 0:
 		return fmt.Errorf("faultmodel: banks must be positive, got %d", cfg.Banks)
-	case cfg.Rows <= 0:
-		return fmt.Errorf("faultmodel: rows must be positive, got %d", cfg.Rows)
-	case cfg.RowBits <= 0:
-		return fmt.Errorf("faultmodel: row bits must be positive, got %d", cfg.RowBits)
+	case cfg.Rows < minRows:
+		return fmt.Errorf("faultmodel: rows must be at least %d, got %d", minRows, cfg.Rows)
+	case cfg.RowBits <= 0 || cfg.RowBits%64 != 0:
+		return fmt.Errorf("faultmodel: row bits must be a positive multiple of 64, got %d", cfg.RowBits)
 	case cfg.HCFirst <= 0:
 		return fmt.Errorf("faultmodel: HCFirst must be positive, got %g", cfg.HCFirst)
 	case cfg.WorstPattern < 0 || cfg.WorstPattern >= NumPatterns:

@@ -1,11 +1,12 @@
 // Package faultmodel implements the circuit-level RowHammer fault model
-// that substitutes for the paper's 1580 real DRAM chips (see DESIGN.md §2
-// and §4). A Chip exposes the operations the paper's testing
-// infrastructure performs — write a data pattern, disable refresh,
-// activate aggressor rows, read back bit flips — on top of a per-cell
-// vulnerability model: power-law hammer thresholds, odd-distance coupling,
-// true-/anti-cell orientation, per-cell data-pattern affinity, optional
-// paired-wordline remapping, and optional on-die ECC.
+// that substitutes for the paper's 1580 real DRAM chips (EXPERIMENTS.md
+// compares its output with the paper, artifact by artifact). A Chip
+// exposes the operations the paper's testing infrastructure performs —
+// write a data pattern, disable refresh, activate aggressor rows, read
+// back bit flips — on top of a per-cell vulnerability model: power-law
+// hammer thresholds, odd-distance coupling, true-/anti-cell orientation,
+// per-cell data-pattern affinity, optional paired-wordline remapping, and
+// optional on-die ECC.
 package faultmodel
 
 import "fmt"

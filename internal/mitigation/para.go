@@ -52,8 +52,8 @@ func NewPARA(p Params, tckPS int64) (*PARA, error) {
 func (m *PARA) Probability() float64 { return m.prob }
 
 // WithFanout sets how many adjacent rows each trigger refreshes (1 picks
-// one side at random, 2 refreshes both — the DESIGN.md ablation). It
-// returns the receiver for chaining.
+// one side at random, 2 refreshes both — the BenchmarkAblationPARAFanout
+// ablation). It returns the receiver for chaining.
 func (m *PARA) WithFanout(n int) *PARA {
 	if n < 1 {
 		n = 1

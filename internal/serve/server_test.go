@@ -180,6 +180,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"zero hcfirst", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
 		{"negative rows", `{"name": "attack", "params": {"rows": -1024}}`, http.StatusBadRequest},
 		{"unknown scale", `{"name":"fig5","params":{"scale":"huge"}}`, http.StatusBadRequest},
+		// Geometries NewChip cannot build fail at decode, not in the job
+		// goroutine (where a panic would take the server down).
+		{"custom_scale row bits", `{"name":"fig5","params":{"modules":"ddr3","chips":1,"custom_scale":{"Banks":1,"Rows":256,"RowBits":7}}}`, http.StatusBadRequest},
+		{"custom_scale one row", `{"name":"fig5","params":{"modules":"ddr3","chips":1,"custom_scale":{"Banks":1,"Rows":1,"RowBits":1024}}}`, http.StatusBadRequest},
 		{"unknown mechanism", `{"name":"attack","params":{"mechanisms":["Bogus"]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

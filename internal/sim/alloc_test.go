@@ -34,7 +34,6 @@ func TestEventBulkSkipZeroAlloc(t *testing.T) {
 	run := func(maxCycles int64) func() {
 		cfg := Table6Config(0, 1<<40)
 		cfg.MaxCPUCycles = maxCycles
-		cfg.Engine = EngineEvent
 		return func() {
 			s, err := newSystem(cfg, mix)
 			if err != nil {

@@ -21,13 +21,11 @@ type scenario func(t *testing.T) (Config, trace.Mix, *attack.Observer)
 func runBothEngines(t *testing.T, mk scenario) {
 	t.Helper()
 	cfgC, mixC, obsC := mk(t)
-	cfgC.Engine = EngineCycle
-	resC, err := Run(cfgC, mixC)
+	resC, err := runReference(cfgC, mixC)
 	if err != nil {
 		t.Fatalf("cycle engine: %v", err)
 	}
 	cfgE, mixE, obsE := mk(t)
-	cfgE.Engine = EngineEvent
 	resE, err := Run(cfgE, mixE)
 	if err != nil {
 		t.Fatalf("event engine: %v", err)

@@ -1,8 +1,8 @@
 package sim
 
-// The event engine (EngineEvent) produces byte-identical results to the
-// reference loop by construction: it only ever does one of two things per
-// iteration —
+// The event engine produces byte-identical results to the reference loop
+// (runCycle, kept in the package tests as the oracle) by construction: it
+// only ever does one of two things per iteration —
 //
 //   - execute one cycle exactly as runCycle would (same component order,
 //     same clock-divider arithmetic), or

@@ -4,21 +4,18 @@
 // metrics of Section 6.2.1: normalized weighted speedup and DRAM
 // bandwidth overhead.
 //
-// Two execution engines drive the same component graph. EngineCycle is
-// the original loop: one CPU cycle per iteration, the reference
-// semantics. EngineEvent (the default) advances time to the next
-// scheduled wakeup — an LLC fill, a controller command or REF deadline, a
-// core leaving a bulk-replayable state — while preserving the exact
-// CPU/mem clock-ratio phase, so every DRAM command lands on the identical
-// cycle and all results are byte-identical to the cycle engine (enforced
-// by the differential tests in this package).
+// Run drives the component graph with the event engine: it advances time
+// to the next scheduled wakeup — an LLC fill, a controller command or REF
+// deadline, a core leaving a bulk-replayable state — while preserving the
+// exact CPU/mem clock-ratio phase, so every DRAM command lands on the
+// cycle a one-cycle-per-iteration loop would have used. That reference
+// loop lives in the package tests (runCycle) as the differential oracle:
+// both drivers must produce byte-identical results.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -27,43 +24,6 @@ import (
 	"repro/internal/mitigation"
 	"repro/internal/trace"
 )
-
-// Engine selects the simulation driver.
-type Engine int
-
-const (
-	// EngineDefault resolves to EngineEvent unless the RH_ENGINE
-	// environment variable is "cycle" (the escape hatch back to the
-	// reference loop).
-	EngineDefault Engine = iota
-	// EngineEvent skips idle time: identical results, less wall-clock.
-	EngineEvent
-	// EngineCycle is the original cycle-by-cycle loop, kept as the
-	// differential-testing oracle.
-	EngineCycle
-)
-
-// String names the engine (resolved form).
-func (e Engine) String() string {
-	if e.resolve() == EngineCycle {
-		return "cycle"
-	}
-	return "event"
-}
-
-var envEngine = sync.OnceValue(func() Engine {
-	if os.Getenv("RH_ENGINE") == "cycle" {
-		return EngineCycle
-	}
-	return EngineEvent
-})
-
-func (e Engine) resolve() Engine {
-	if e == EngineDefault {
-		return envEngine()
-	}
-	return e
-}
 
 // Config describes one simulation run.
 type Config struct {
@@ -86,10 +46,6 @@ type Config struct {
 	// Attack evaluations use it as the primary termination: with a huge
 	// MeasureInsts the run lasts exactly this many CPU cycles.
 	MaxCPUCycles int64
-
-	// Engine selects the simulation driver; the zero value follows the
-	// RH_ENGINE environment variable and defaults to the event engine.
-	Engine Engine
 
 	Mechanism mitigation.Mechanism
 
@@ -169,9 +125,10 @@ func (r Result) TotalIPC() float64 {
 	return s
 }
 
-// system is the assembled component graph plus the loop state both
-// engines share. Either engine leaves cpuCycle/measStartCycle with the
-// reference-loop values, so result() is engine-agnostic.
+// system is the assembled component graph plus the loop state the event
+// engine shares with the test oracle (runCycle). Both leave
+// cpuCycle/measStartCycle with the reference-loop values, so result() is
+// driver-agnostic.
 type system struct {
 	cfg   Config
 	ch    *dram.Channel
@@ -281,29 +238,6 @@ func (s *system) beginMeasure() {
 	s.measStartCycle = s.cpuCycle
 }
 
-// runCycle is the reference loop (EngineCycle): one CPU cycle per
-// iteration, the differential-testing oracle for the event engine.
-func (s *system) runCycle() {
-	target := s.cfg.WarmupInsts
-	for s.cpuCycle = 0; s.cpuCycle < s.maxCycles; s.cpuCycle++ {
-		s.llc.Tick()
-		for _, c := range s.cores {
-			c.Tick()
-		}
-		s.memAcc += s.memF
-		if s.memAcc >= s.cpuF {
-			s.memAcc -= s.cpuF
-			s.ctrl.Tick()
-		}
-		if !s.warmedUp && s.allRetired(target) {
-			s.beginMeasure()
-		}
-		if s.warmedUp && s.allRetired(s.cfg.MeasureInsts) {
-			break
-		}
-	}
-}
-
 func (s *system) result() *Result {
 	res := &Result{
 		Mechanism: s.mech.Name(),
@@ -330,11 +264,7 @@ func Run(cfg Config, mix trace.Mix) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine.resolve() == EngineCycle {
-		s.runCycle()
-	} else {
-		s.runEvent()
-	}
+	s.runEvent()
 	return s.result(), nil
 }
 
